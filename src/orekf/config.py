@@ -5,7 +5,7 @@ objects. Values are scalars or comma-separated lists; `#` starts a comment.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -66,9 +66,7 @@ class RunConfig:
         return get_preset(self.preset)
 
     def trajectory(self) -> TrajectorySpec:
-        traj = self.scenario().trajectory
-        traj.duration = self.duration
-        return traj
+        return replace(self.scenario().trajectory, duration=self.duration)
 
     def world(self) -> WorldSpec:
         return self.scenario().world

@@ -9,14 +9,13 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import numpy as np
 from scipy.special import gammaincinv
 
-from .update_direct import PoseMeasurement
-
-SINGULAR_CONDITION = 1e12
+from .state import symmetrize
+from .update_direct import PoseMeasurement, well_conditioned
 
 METHODS = ("none", "chi2", "chi2p", "aor", "aorp")
 PARTIAL_METHODS = ("chi2p", "aorp")
@@ -78,39 +77,55 @@ def _compose(reject_p: bool, reject_r: bool) -> Verdict:
     return Verdict.ACCEPT_ALL
 
 
-def _mahalanobis_sq(residual, jac, cov, noise_cov):
-    s = jac @ cov @ jac.T + noise_cov
-    s = 0.5 * (s + s.T)
-    if np.linalg.cond(s) > SINGULAR_CONDITION:
-        return None
-    return float(residual @ np.linalg.solve(s, residual))
+def _mahalanobis_sq(residuals: np.ndarray, innovation_covs: np.ndarray):
+    """Squared Mahalanobis distances of a batch of residual blocks (k, d)
+    under their symmetric innovation covariances (k, d, d).
+
+    One batched eigendecomposition gives both the distance and the
+    conditioning test: a block that is not positive definite, or whose
+    2-norm condition number exceeds MAX_CONDITION, gets distance inf.
+    """
+    w, v = np.linalg.eigh(innovation_covs)
+    ok = well_conditioned(w[:, 0], w[:, -1])
+    y = np.einsum("kji,kj->ki", v, residuals)
+    d2 = np.full(len(w), np.inf)
+    d2[ok] = np.sum(y[ok] ** 2 / w[ok], axis=1)
+    return d2
+
+
+def _chi2_decisions(d2: np.ndarray, dof: int, alpha: float, method: str):
+    """Decisions from block distances d2 of shape (matches, blocks): one
+    block per match for chi2, (position, rotation) for chi2p. With one
+    block, r[0] and r[-1] are the same test and the verdict is all or
+    nothing."""
+    reject = d2 > chi2_quantile(dof, 1.0 - alpha)
+    return [GatingDecision(_compose(r[0], r[-1]), float(x), method)
+            for r, x in zip(reject, d2.max(axis=1))]
+
+
+def _block_distances(residuals, jacs, cov, noises):
+    s = np.array([symmetrize(jac @ cov @ jac.T + noise)
+                  for jac, noise in zip(jacs, noises)])
+    return _mahalanobis_sq(np.array(residuals), s)
 
 
 def chi2_full(residual, jac, cov, noise_cov, alpha: float) -> GatingDecision:
     """Full-measurement chi-square test on the innovation.
 
-    A (near-)singular innovation covariance rejects the measurement.
+    An innovation covariance that is not positive definite or is
+    (near-)singular rejects the measurement.
     """
-    d2 = _mahalanobis_sq(residual, jac, cov, noise_cov)
-    if d2 is None:
-        return GatingDecision(Verdict.REJECT_ALL, float("inf"), "chi2")
-    bound = chi2_quantile(residual.size, 1.0 - alpha)
-    verdict = Verdict.ACCEPT_ALL if d2 <= bound else Verdict.REJECT_ALL
-    return GatingDecision(verdict, d2, "chi2")
+    d2 = _block_distances([residual], [jac], cov, [noise_cov])
+    return _chi2_decisions(d2.reshape(1, 1), residual.size, alpha, "chi2")[0]
 
 
 def chi2_partial(residual_p, residual_r, jac_p, jac_r, cov, noise_p, noise_r,
                  alpha: float) -> GatingDecision:
     """Two independent 3-DoF chi-square tests on the marginal innovations."""
-    bound_p = chi2_quantile(residual_p.size, 1.0 - alpha)
-    bound_r = chi2_quantile(residual_r.size, 1.0 - alpha)
-    d2_p = _mahalanobis_sq(residual_p, jac_p, cov, noise_p)
-    d2_r = _mahalanobis_sq(residual_r, jac_r, cov, noise_r)
-    reject_p = d2_p is None or d2_p > bound_p
-    reject_r = d2_r is None or d2_r > bound_r
-    stat = max(d2_p if d2_p is not None else float("inf"),
-               d2_r if d2_r is not None else float("inf"))
-    return GatingDecision(_compose(reject_p, reject_r), stat, "chi2p")
+    d2 = _block_distances([residual_p, residual_r], [jac_p, jac_r], cov,
+                          [noise_p, noise_r])
+    return _chi2_decisions(d2.reshape(1, 2), residual_p.size, alpha,
+                           "chi2p")[0]
 
 
 def aor(meas: PoseMeasurement, cfg: GatingConfig) -> GatingDecision:
@@ -132,3 +147,65 @@ def aorp(meas: PoseMeasurement, cfg: GatingConfig) -> GatingDecision:
     return GatingDecision(
         _compose(sig_p > cfg.aorp_tau_p, sig_r > cfg.aorp_tau_theta),
         stat, "aorp")
+
+
+def _accept_all(cfg, s, residual, measurements, degenerate):
+    return [GatingDecision(Verdict.ACCEPT_ALL, 0.0, "none")] * len(
+        measurements)
+
+
+def _thresholds(test, cfg, s, residual, measurements, degenerate):
+    return [test(m, cfg) for m in measurements]
+
+
+def _chi2_blocks(method, block, cfg, s, residual, measurements, degenerate):
+    k = s.shape[0] // block
+    idx = np.arange(k)
+    d2 = _mahalanobis_sq(residual.reshape(k, block),
+                         s.reshape(k, block, k, block)[idx, :, idx])
+    d2 = d2.reshape(len(measurements), 6 // block)
+    # A degenerate rotation residual fails the joint test; with per-block
+    # tests the position block stands alone and gate_frame rejects the
+    # rotation block.
+    if block == 6:
+        d2[degenerate, 0] = np.inf
+    else:
+        d2[degenerate, 1] = 0.0
+    return _chi2_decisions(d2, block, cfg.chi2_alpha, method)
+
+
+# How each method gates a frame: chi-square tests on the diagonal blocks of
+# the frame's innovation covariance (6x6 per match, or 3x3 per position and
+# rotation block), or thresholds on the reported variances alone.
+FRAME_TESTS = {
+    "none": _accept_all,
+    "aor": partial(_thresholds, aor),
+    "aorp": partial(_thresholds, aorp),
+    "chi2": partial(_chi2_blocks, "chi2", 6),
+    "chi2p": partial(_chi2_blocks, "chi2p", 3),
+}
+
+
+def gate_frame(cfg: GatingConfig, s: np.ndarray, residual: np.ndarray,
+               measurements, degenerate, partial_ok: bool):
+    """Gating decisions for every match of one frame.
+
+    s and residual are the frame's innovation covariance and stacked
+    residual, six rows [position, rotation] per match (see stack_frame);
+    measurements are the PoseMeasurements as observed, in match order. A
+    degenerate rotation residual (near pi) is never kept: the measurement
+    keeps its position block when the test kept it and partial_ok allows
+    partial rejection, and is rejected whole otherwise.
+    """
+    degenerate = np.array(degenerate, dtype=bool)
+    decisions = FRAME_TESTS[cfg.method](cfg, s, residual, measurements,
+                                        degenerate)
+    for j in np.flatnonzero(degenerate):
+        decision = decisions[j]
+        if decision.keeps_rotation():
+            verdict = (Verdict.REJECT_ROTATION
+                       if decision.keeps_position() and partial_ok
+                       else Verdict.REJECT_ALL)
+            decisions[j] = GatingDecision(verdict, decision.statistic,
+                                          decision.method)
+    return decisions

@@ -22,6 +22,12 @@ _I3 = np.eye(3)
 QUAT_IDENTITY = np.array([0.0, 0.0, 0.0, 1.0])
 
 
+def _floats(v) -> list:
+    """The components of a short vector as Python floats, which the scalar
+    helpers below compute with."""
+    return np.asarray(v, dtype=float).tolist()
+
+
 def skew(v: np.ndarray) -> np.ndarray:
     """Skew-symmetric matrix so that skew(v) @ w == cross(v, w)."""
     x, y, z = v
@@ -37,7 +43,7 @@ def skew(v: np.ndarray) -> np.ndarray:
 
 def exp_so3(theta_vec: np.ndarray) -> np.ndarray:
     """Rotation matrix from a rotation vector (Rodrigues formula)."""
-    x, y, z = (float(c) for c in theta_vec)
+    x, y, z = _floats(theta_vec)
     angle = math.sqrt(x * x + y * y + z * z)
     k = skew((x, y, z))
     if angle < SMALL_ANGLE:
@@ -85,6 +91,24 @@ def log_so3(rot: np.ndarray) -> np.ndarray:
     return (angle / np.sin(angle)) * antisym
 
 
+def log_so3_batch(rots: np.ndarray) -> np.ndarray:
+    """log_so3 of each matrix of a (K, 3, 3) stack, as a (K, 3) array.
+
+    The closed form runs on the whole stack; the rare matrices within 1e-6
+    rad of pi go through log_so3 one by one.
+    """
+    trace = rots[:, 0, 0] + rots[:, 1, 1] + rots[:, 2, 2]
+    angle = np.arccos(np.clip(0.5 * (trace - 1.0), -1.0, 1.0))
+    out = 0.5 * np.stack([rots[:, 2, 1] - rots[:, 1, 2],
+                          rots[:, 0, 2] - rots[:, 2, 0],
+                          rots[:, 1, 0] - rots[:, 0, 1]], axis=1)
+    big = angle >= SMALL_ANGLE
+    out[big] *= (angle[big] / np.sin(angle[big]))[:, None]
+    for k in np.flatnonzero(np.pi - angle < 1e-6):
+        out[k] = log_so3(rots[k])
+    return out
+
+
 def right_jacobian(theta_vec: np.ndarray) -> np.ndarray:
     """Right Jacobian of SO(3): exp_so3(t + d) ~ exp_so3(t) @ exp_so3(J_r(t) d)."""
     theta_vec = np.asarray(theta_vec, dtype=float)
@@ -117,7 +141,7 @@ def _canonical_components(x: float, y: float, z: float, w: float):
 
 def quat_canonical(q: np.ndarray) -> np.ndarray:
     """Normalize and fix the sign so qw >= 0 (ties broken lexicographically)."""
-    x, y, z, w = (float(c) for c in q)
+    x, y, z, w = _floats(q)
     out = np.empty(4)
     out[0], out[1], out[2], out[3] = _canonical_components(x, y, z, w)
     return out
@@ -125,8 +149,8 @@ def quat_canonical(q: np.ndarray) -> np.ndarray:
 
 def quat_mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Hamilton product a (x) b, scalar-last, canonicalized output."""
-    ax, ay, az, aw = (float(c) for c in a)
-    bx, by, bz, bw = (float(c) for c in b)
+    ax, ay, az, aw = _floats(a)
+    bx, by, bz, bw = _floats(b)
     out = np.empty(4)
     out[0], out[1], out[2], out[3] = _canonical_components(
         aw * bx + ax * bw + ay * bz - az * by,
@@ -139,7 +163,7 @@ def quat_mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 def quat_conj(q: np.ndarray) -> np.ndarray:
     """Conjugate (= inverse for unit quaternions)."""
-    x, y, z, w = (float(c) for c in q)
+    x, y, z, w = _floats(q)
     out = np.empty(4)
     out[0], out[1], out[2], out[3] = _canonical_components(-x, -y, -z, w)
     return out
@@ -147,7 +171,7 @@ def quat_conj(q: np.ndarray) -> np.ndarray:
 
 def rot_of(q: np.ndarray) -> np.ndarray:
     """Rotation matrix of a unit quaternion."""
-    x, y, z, w = (float(c) for c in q)
+    x, y, z, w = _floats(q)
     xx, yy, zz = x * x, y * y, z * z
     xy, xz, yz = x * y, x * z, y * z
     wx, wy, wz = w * x, w * y, w * z
@@ -161,6 +185,26 @@ def rot_of(q: np.ndarray) -> np.ndarray:
     out[2, 0] = 2.0 * (xz - wy)
     out[2, 1] = 2.0 * (yz + wx)
     out[2, 2] = 1.0 - 2.0 * (xx + yy)
+    return out
+
+
+def rot_of_batch(q: np.ndarray) -> np.ndarray:
+    """rot_of of each row of a (K, 4) array of unit quaternions, as a
+    (K, 3, 3) array; the arithmetic is rot_of's, element for element."""
+    x, y, z, w = np.asarray(q, dtype=float).T
+    xx, yy, zz = x * x, y * y, z * z
+    xy, xz, yz = x * y, x * z, y * z
+    wx, wy, wz = w * x, w * y, w * z
+    out = np.empty((len(x), 3, 3))
+    out[:, 0, 0] = 1.0 - 2.0 * (yy + zz)
+    out[:, 0, 1] = 2.0 * (xy - wz)
+    out[:, 0, 2] = 2.0 * (xz + wy)
+    out[:, 1, 0] = 2.0 * (xy + wz)
+    out[:, 1, 1] = 1.0 - 2.0 * (xx + zz)
+    out[:, 1, 2] = 2.0 * (yz - wx)
+    out[:, 2, 0] = 2.0 * (xz - wy)
+    out[:, 2, 1] = 2.0 * (yz + wx)
+    out[:, 2, 2] = 1.0 - 2.0 * (xx + yy)
     return out
 
 
@@ -202,7 +246,7 @@ def quat_of(rot: np.ndarray) -> np.ndarray:
 
 def quat_exp(theta_vec: np.ndarray) -> np.ndarray:
     """Quaternion of a rotation vector; equals quat_of(exp_so3(theta_vec))."""
-    x, y, z = (float(c) for c in theta_vec)
+    x, y, z = _floats(theta_vec)
     angle = math.sqrt(x * x + y * y + z * z)
     out = np.empty(4)
     if angle < SMALL_ANGLE:

@@ -9,7 +9,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geom3 import log_so3, rot_of
+from .geom3 import log_so3_batch, rot_of_batch
 
 log = logging.getLogger(__name__)
 
@@ -43,10 +43,8 @@ class RunRecord:
     def attitude_errors(self) -> np.ndarray:
         """Right-perturbation attitude error log(R_est^T R_true), the same
         convention as the filter's error state (rad)."""
-        out = np.empty((self.n_ticks, 3))
-        for k in range(self.n_ticks):
-            out[k] = log_so3(rot_of(self.q_est[k]).T @ rot_of(self.q_true[k]))
-        return out
+        return log_so3_batch(np.swapaxes(rot_of_batch(self.q_est), 1, 2)
+                             @ rot_of_batch(self.q_true))
 
 
 def rmse_position(run: RunRecord) -> float:
@@ -78,16 +76,14 @@ def anees(run: RunRecord, block: str = "position", dof: int = 3) -> float:
         errs, covs = run.attitude_errors(), run.cov_att
     else:
         raise ValueError(f"unknown block {block!r}")
-    vals = []
-    skipped = 0
-    for e, p in zip(errs, covs):
-        if np.linalg.cond(p) > 1e12:
-            skipped += 1
-            continue
-        vals.append(float(e @ np.linalg.solve(p, e)) / dof)
+    # a NaN block is kept, so that the mean shows it
+    ok = ~(np.linalg.cond(covs) > 1e12)
+    skipped = len(errs) - int(np.count_nonzero(ok))
     if skipped:
         log.warning("anees(%s): skipped %d/%d ticks with singular covariance",
                     block, skipped, len(errs))
-    if not vals:
+    if skipped == len(errs):
         return float("nan")
-    return float(np.mean(vals))
+    errs = errs[ok, None, :]
+    nees = (errs @ np.linalg.solve(covs[ok], np.swapaxes(errs, 1, 2)))
+    return float(np.mean(nees[:, 0, 0] / dof))

@@ -87,7 +87,7 @@ def read_log(path):
                 elif kind == "MEAS":
                     if len(parts) != 16:
                         raise ValueError("MEAS line needs 16 fields")
-                    meas_rows.append((t, parts[2],
+                    meas_rows.append((line_no, t, parts[2],
                                       [float(p) for p in parts[3:]]))
                 else:
                     raise ValueError(f"unknown record kind {kind!r}")
@@ -110,11 +110,17 @@ def read_log(path):
                     truth_bias_accel=np.zeros((len(imu_rows), 3)))
     ticks = [[] for _ in range(len(truth_rows))]
     t_cam = truth_arr[:, 0]
-    for t, obj_class, vals in meas_rows:
-        k = int(np.argmin(np.abs(t_cam - t)))
+    t_meas = np.array([t for _, t, _, _ in meas_rows])
+    # nearest TRUTH tick: the one before or at the insertion point
+    hi = np.searchsorted(t_cam, t_meas).clip(0, len(t_cam) - 1)
+    lo = (hi - 1).clip(0)
+    nearest = np.where(np.abs(t_cam[lo] - t_meas)
+                       <= np.abs(t_cam[hi] - t_meas), lo, hi)
+    for (line_no, t, obj_class, vals), k in zip(meas_rows, nearest):
         if abs(t_cam[k] - t) > 1e-9:
             raise ReplayLogError(
-                f"MEAS at t={t} does not align with any TRUTH tick")
+                f"line {line_no}: MEAS at t={t} does not align with any "
+                f"TRUTH tick")
         ticks[k].append(PoseMeasurement(
             t=t, object_class=obj_class, p_co=np.array(vals[0:3]),
             q_co=np.array(vals[3:7]), var_p=np.array(vals[7:10]),

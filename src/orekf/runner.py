@@ -60,80 +60,39 @@ def _initial_state(meas_stream: MeasurementStream,
     return state, cov
 
 
-def _prepare_match(state, obj_index, meas, direct: bool):
-    """Residuals and Jacobians for one matched measurement, computed once.
+def _update_frame(state, cov, frame, pairs, setup: FilterSetup, counts):
+    """Gate and apply every matched measurement of one camera frame.
 
-    Returns (payload, z_p, z_r, h_p, h_r, noise_p, noise_r): payload is the
-    measurement handed to the stacker (inverted for the inverse filter) and
-    z_r is None when the rotation residual is degenerate (near pi).
+    The frame's innovation covariance S = H P H^T + R and H P are formed
+    once; gating tests diagonal blocks of S and the update uses the
+    principal submatrix of S and the rows of H P that gating kept.
     """
-    obj = state.objects[obj_index]
-    if direct:
-        payload = meas
-        h_p, h_r = ud.jacobians(state, obj_index)
-        z_p = ud.residual_position(state.core, state.extr, obj, meas)
-        noise_p = np.diag(meas.var_p)
-        noise_r = np.diag(meas.var_theta)
-        try:
-            z_r = ud.residual_rotation(state.core, state.extr, obj, meas)
-        except ud.DegenerateRotationError:
-            z_r = None
-    else:
-        payload = ui.invert_measurement(meas)
-        h_p, h_r = ui.jacobians(state, obj_index)
-        z_p = ui.residual_position(state.core, state.extr, obj, payload)
-        noise_p, noise_r = payload.cov_p, payload.cov_theta
-        try:
-            z_r = ui.residual_rotation(state.core, state.extr, obj, payload)
-        except ud.DegenerateRotationError:
-            z_r = None
-    return payload, z_p, z_r, h_p, h_r, noise_p, noise_r
-
-
-def _decide(cov, meas, prep, setup: FilterSetup):
-    """Gating decision for one matched measurement, including the forced
-    rejection of rotation residuals that are degenerate (near pi)."""
-    cfg = setup.gating
-    method = cfg.method
-    _, z_p, z_r, h_p, h_r, noise_p, noise_r = prep
-    degenerate = z_r is None
-
-    if method == "none":
-        decision = gt.GatingDecision(gt.Verdict.ACCEPT_ALL, 0.0, "none")
-    elif method == "aor":
-        decision = gt.aor(meas, cfg)
-    elif method == "aorp":
-        decision = gt.aorp(meas, cfg)
-    elif method == "chi2":
-        if degenerate:
-            decision = gt.GatingDecision(gt.Verdict.REJECT_ALL, float("inf"),
-                                         "chi2")
+    direct = setup.filter_type == "direct"
+    model = ud if direct else ui
+    measurements = [frame[mi] for mi, _ in pairs]
+    stacked, degenerate = model.stack_frame(
+        state, [(oi, m) for (_, oi), m in zip(pairs, measurements)])
+    s, hp = ud.innovation(cov, stacked)
+    decisions = gt.gate_frame(setup.gating, s, stacked.residual, measurements,
+                              degenerate, partial_ok=direct)
+    for decision in decisions:
+        if decision.verdict is gt.Verdict.ACCEPT_ALL:
+            counts["accepted"] += 1
         else:
-            z = np.concatenate([z_p, z_r])
-            h = np.vstack([h_p, h_r])
-            noise = np.zeros((6, 6))
-            noise[:3, :3] = noise_p
-            noise[3:, 3:] = noise_r
-            decision = gt.chi2_full(z, h, cov, noise, cfg.chi2_alpha)
-    else:  # chi2p (direct filter only; setup validation enforces that)
-        if degenerate:
-            d_pos = gt.chi2_partial(z_p, np.zeros(3), h_p, h_r, cov,
-                                    noise_p, noise_r, cfg.chi2_alpha)
-            decision = gt.GatingDecision(
-                gt.Verdict.REJECT_ROTATION if d_pos.keeps_position()
-                else gt.Verdict.REJECT_ALL, d_pos.statistic, "chi2p")
-        else:
-            decision = gt.chi2_partial(z_p, z_r, h_p, h_r, cov, noise_p,
-                                       noise_r, cfg.chi2_alpha)
+            counts["rejected_" + decision.verdict.value[7:]] += 1
+    counts["degenerate"] += sum(degenerate)
 
-    if degenerate and decision.keeps_rotation():
-        verdict = (gt.Verdict.REJECT_ROTATION
-                   if decision.keeps_position()
-                   and setup.filter_type == "direct"
-                   else gt.Verdict.REJECT_ALL)
-        decision = gt.GatingDecision(verdict, decision.statistic,
-                                     decision.method)
-    return decision
+    keep = ud.kept_rows(decisions)
+    if keep.size == 0:
+        return state, cov
+    if keep.size < stacked.residual.size:
+        stacked = stacked.rows(keep)
+        s, hp = s[np.ix_(keep, keep)], hp[keep]
+    counts["updates"] += 1
+    state, cov, applied = ud.joseph_update(state, cov, stacked, s, hp)
+    if not applied:
+        counts["skipped_updates"] += 1
+    return state, cov
 
 
 def run_filter(imu: ImuStream, meas_stream: MeasurementStream,
@@ -188,28 +147,8 @@ def run_filter(imu: ImuStream, meas_stream: MeasurementStream,
                 next_obj_id += 1
                 counts["initialized"] += 1
             if pairs:
-                direct = setup.filter_type == "direct"
-                matches, decisions, prepared = [], [], []
-                for mi, oi in pairs:
-                    prep = _prepare_match(state, oi, frame[mi], direct)
-                    decision = _decide(cov, frame[mi], prep, setup)
-                    if decision.verdict is gt.Verdict.ACCEPT_ALL:
-                        counts["accepted"] += 1
-                    else:
-                        counts["rejected_" + decision.verdict.value[7:]] += 1
-                    if prep[2] is None:
-                        counts["degenerate"] += 1
-                    matches.append((oi, prep[0]))
-                    decisions.append(decision)
-                    prepared.append(prep[1:5])
-                builder = ud.build_stacked if direct else ui.build_stacked
-                stacked = builder(state, matches, decisions, prepared)
-                if stacked is not None:
-                    counts["updates"] += 1
-                    new_state, new_cov = ud.ekf_update(state, cov, stacked)
-                    if new_cov is cov:
-                        counts["skipped_updates"] += 1
-                    state, cov = new_state, new_cov
+                state, cov = _update_frame(state, cov, frame, pairs, setup,
+                                           counts)
 
         rec_t.append(meas_stream.t[k])
         rec_pt.append(meas_stream.truth_pos[k])

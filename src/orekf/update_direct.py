@@ -7,6 +7,9 @@ residual never touches the measured rotation, so either block can be
 rejected on its own. Rotation error states are right perturbations and the
 rotation residual is the small-angle vector 2*qv/qw of the predicted-to-
 measured quaternion difference.
+
+The stacked frame layout, the innovation covariance and the Joseph-form
+update defined here serve both filters.
 """
 
 from __future__ import annotations
@@ -26,6 +29,8 @@ log = logging.getLogger(__name__)
 DEGENERATE_QW = 1e-6
 
 MAX_CONDITION = 1e12
+
+_I3 = np.eye(3)
 
 
 class DegenerateRotationError(ValueError):
@@ -59,12 +64,21 @@ class PoseMeasurement:
 
 @dataclass
 class StackedUpdate:
-    """Rows of all surviving residual blocks for one image, stacked
-    [position, rotation] per object in match order."""
+    """Stacked measurement rows: residual, Jacobian and noise covariance.
+
+    stack_frame lays out every matched measurement of a frame as six rows,
+    [position, rotation] per match in match order; build_stacked and the
+    run loop keep the rows that gating let through.
+    """
 
     residual: np.ndarray   # (m,)
     jacobian: np.ndarray   # (m, error_dim)
     noise_cov: np.ndarray  # (m, m)
+
+    def rows(self, keep: np.ndarray) -> "StackedUpdate":
+        """The sub-problem of the rows listed in keep."""
+        return StackedUpdate(self.residual[keep], self.jacobian[keep],
+                             self.noise_cov[np.ix_(keep, keep)])
 
 
 def predicted_relative_position(core, extr, obj) -> np.ndarray:
@@ -99,6 +113,33 @@ def residual_rotation(core, extr, obj, meas: PoseMeasurement) -> np.ndarray:
                                 meas.q_co)
 
 
+def _frame_terms(core, extr):
+    """Products of the frame's rotations that the rows of every object
+    share, evaluated once per frame."""
+    rot_wi, rot_ic = rot_of(core.q_wi), rot_of(extr.q_ic)
+    ric_t, rwi_t = rot_ic.T, rot_wi.T
+    a = ric_t @ rwi_t
+    return (rot_wi, rot_ic, ric_t, rwi_t, a, -ric_t @ rwi_t,
+            skew(rwi_t @ core.p_wi), -skew(ric_t @ extr.p_ic),
+            skew(a @ core.p_wi))
+
+
+def _object_rows(h, terms, core, extr, obj, i) -> np.ndarray:
+    """Write the Jacobian rows [position; rotation] of object i into h
+    (6 x error_dim) and return its predicted relative position."""
+    rot_wi, rot_ic, ric_t, rwi_t, a, neg_a, s_wi, neg_s_ic, s_a_wi = terms
+    h[:3, st.POS] = neg_a
+    h[:3, st.ATT] = ric_t @ (skew(rwi_t @ obj.p_wo) - s_wi)
+    h[:3, st.P_IC] = -ric_t
+    h[:3, st.ATT_IC] = neg_s_ic + skew(a @ obj.p_wo) - s_a_wi
+    h[:3, st.obj_pos_slice(i)] = a
+    h_att = -rot_of(obj.q_wo).T @ rot_wi
+    h[3:, st.ATT] = h_att
+    h[3:, st.ATT_IC] = h_att @ rot_ic
+    h[3:, st.obj_att_slice(i)] = _I3
+    return ric_t @ (-extr.p_ic + rwi_t @ (obj.p_wo - core.p_wi))
+
+
 def jacobians(state: FullState, obj_index: int):
     """Analytic measurement Jacobians (3 x error_dim each) for one object.
 
@@ -107,71 +148,117 @@ def jacobians(state: FullState, obj_index: int):
     the residuals. Columns of other objects are zero because relative pose
     measurements of different objects are independent.
     """
+    h = np.zeros((6, state.error_dim))
+    _object_rows(h, _frame_terms(state.core, state.extr), state.core,
+                 state.extr, state.objects[obj_index], obj_index)
+    return h[:3], h[3:]
+
+
+def fill_rotation_residual(z: np.ndarray, q_pred, q_meas) -> bool:
+    """Write the small-angle rotation residual into z (3,); a degenerate
+    residual (near pi) writes zeros and returns True."""
+    try:
+        z[:] = small_angle_residual(q_pred, q_meas)
+    except DegenerateRotationError:
+        z[:] = 0.0
+        return True
+    return False
+
+
+def stack_frame(state: FullState, matches):
+    """Residuals, Jacobians and noise of every matched measurement of one
+    frame, six rows [position, rotation] per match in match order.
+
+    matches is a list of (obj_index, PoseMeasurement). Returns
+    (StackedUpdate, degenerate): degenerate[j] is True when the rotation
+    residual of match j is too close to pi to use; its rows are zero in the
+    residual and must not be kept. The block-diagonal noise needs no
+    inversion or rotation: the reported per-axis variances are used as-is.
+    """
     core, extr = state.core, state.extr
-    obj = state.objects[obj_index]
-    dim = state.error_dim
-    rot_wi = rot_of(core.q_wi)
-    rot_ic = rot_of(extr.q_ic)
-    rot_wo = rot_of(obj.q_wo)
-    ric_t = rot_ic.T
-    rwi_t = rot_wi.T
-
-    h_p = np.zeros((3, dim))
-    h_p[:, st.POS] = -ric_t @ rwi_t
-    h_p[:, st.ATT] = ric_t @ (skew(rwi_t @ obj.p_wo) - skew(rwi_t @ core.p_wi))
-    h_p[:, st.P_IC] = -ric_t
-    h_p[:, st.ATT_IC] = (-skew(ric_t @ extr.p_ic)
-                         + skew(ric_t @ rwi_t @ obj.p_wo)
-                         - skew(ric_t @ rwi_t @ core.p_wi))
-    h_p[:, st.obj_pos_slice(obj_index)] = ric_t @ rwi_t
-
-    h_r = np.zeros((3, dim))
-    h_r[:, st.ATT] = -rot_wo.T @ rot_wi
-    h_r[:, st.ATT_IC] = -rot_wo.T @ rot_wi @ rot_ic
-    h_r[:, st.obj_att_slice(obj_index)] = np.eye(3)
-    return h_p, h_r
+    terms = _frame_terms(core, extr)
+    q_cw = quat_mul(quat_conj(extr.q_ic), quat_conj(core.q_wi))
+    h = np.zeros((len(matches), 6, state.error_dim))
+    z = np.empty((len(matches), 6))
+    degenerate = []
+    for j, (i, meas) in enumerate(matches):
+        obj = state.objects[i]
+        z[j, :3] = meas.p_co - _object_rows(h[j], terms, core, extr, obj, i)
+        degenerate.append(fill_rotation_residual(
+            z[j, 3:], quat_mul(q_cw, obj.q_wo), meas.q_co))
+    noise = np.diag(np.concatenate([v for _, m in matches
+                                    for v in (m.var_p, m.var_theta)]))
+    return (StackedUpdate(z.reshape(-1), h.reshape(-1, state.error_dim),
+                          noise), degenerate)
 
 
-def build_stacked(state: FullState, matches, decisions, prepared=None):
+def kept_rows(decisions) -> np.ndarray:
+    """Indices of the rows of a frame stack that the decisions keep."""
+    keep = []
+    for j, decision in enumerate(decisions):
+        if decision.keeps_position():
+            keep.extend(range(6 * j, 6 * j + 3))
+        if decision.keeps_rotation():
+            keep.extend(range(6 * j + 3, 6 * j + 6))
+    return np.array(keep, dtype=np.intp)
+
+
+def select_rows(stacked: StackedUpdate, degenerate, decisions):
+    """Rows of a frame stack kept by the gating decisions, or None when
+    every row is rejected (no update is performed then)."""
+    for bad, decision in zip(degenerate, decisions):
+        if bad and decision.keeps_rotation():
+            raise DegenerateRotationError(
+                "a degenerate rotation residual cannot be kept")
+    keep = kept_rows(decisions)
+    if keep.size == 0:
+        return None
+    return stacked.rows(keep)
+
+
+def build_stacked(state: FullState, matches, decisions):
     """Stack residuals / Jacobians / noise for the surviving blocks.
 
     matches is a list of (obj_index, PoseMeasurement); decisions the matching
-    list of GatingDecision. Returns None when every row is rejected (no
-    update is performed then). The block-diagonal noise needs no inversion
-    or rotation: the reported per-axis variances are used as-is.
-
-    prepared optionally carries precomputed (z_p, z_r, h_p, h_r) tuples per
-    match (z_r may be None when degenerate); the run loop passes these to
-    avoid recomputing what gating already evaluated.
+    list of GatingDecision. Returns None when every row is rejected.
     """
     if not matches:
         raise ValueError("build_stacked requires at least one match")
-    rows_z, rows_h, noise_diag = [], [], []
-    for idx, ((obj_index, meas), decision) in enumerate(zip(matches,
-                                                            decisions)):
-        use_p, use_r = decision.keeps_position(), decision.keeps_rotation()
-        if not (use_p or use_r):
-            continue
-        if prepared is None:
-            obj = state.objects[obj_index]
-            h_p, h_r = jacobians(state, obj_index)
-            z_p = residual_position(state.core, state.extr, obj, meas)
-            z_r = residual_rotation(state.core, state.extr, obj,
-                                    meas) if use_r else None
-        else:
-            z_p, z_r, h_p, h_r = prepared[idx]
-        if use_p:
-            rows_z.append(z_p)
-            rows_h.append(h_p)
-            noise_diag.append(meas.var_p)
-        if use_r:
-            rows_z.append(z_r)
-            rows_h.append(h_r)
-            noise_diag.append(meas.var_theta)
-    if not rows_z:
-        return None
-    return StackedUpdate(np.concatenate(rows_z), np.vstack(rows_h),
-                         np.diag(np.concatenate(noise_diag)))
+    return select_rows(*stack_frame(state, matches), decisions)
+
+
+def innovation(cov: np.ndarray, stacked: StackedUpdate):
+    """(S, H P): the innovation covariance H P H^T + R, symmetrized, and the
+    cross covariance H P (the transpose of P H^T) that gating and the
+    update share."""
+    hp = stacked.jacobian @ cov
+    return symmetrize(hp @ stacked.jacobian.T + stacked.noise_cov), hp
+
+
+def well_conditioned(eig_min, eig_max):
+    """Positive definite with a 2-norm condition number of at most
+    MAX_CONDITION, from the extreme eigenvalues of a symmetric matrix."""
+    return (eig_min > 0.0) & (eig_max <= MAX_CONDITION * eig_min)
+
+
+def joseph_update(state: FullState, cov: np.ndarray, stacked: StackedUpdate,
+                  s: np.ndarray, hp: np.ndarray):
+    """EKF update from precomputed S and H P (see innovation); returns
+    (state, cov, applied). A skipped update returns the inputs themselves."""
+    eig = np.linalg.eigvalsh(s)
+    if not well_conditioned(eig[0], eig[-1]):
+        log.warning("innovation covariance condition number %.2e > %.0e; "
+                    "update skipped",
+                    float("inf") if eig[0] <= 0 else eig[-1] / eig[0],
+                    MAX_CONDITION)
+        return state, cov, False
+    gain = np.linalg.solve(s, hp).T
+    if state.objects:
+        gain[anchor_mask(state), :] = 0.0
+    new_state = inject_error(state, gain @ stacked.residual)
+    i_kh = np.eye(cov.shape[0]) - gain @ stacked.jacobian
+    new_cov = i_kh @ cov @ i_kh.T + gain @ stacked.noise_cov @ gain.T
+    return new_state, symmetrize(new_cov), True
 
 
 def ekf_update(state: FullState, cov: np.ndarray, stacked: StackedUpdate):
@@ -183,23 +270,8 @@ def ekf_update(state: FullState, cov: np.ndarray, stacked: StackedUpdate):
     consistent in the world frame. An ill-conditioned innovation covariance
     skips the update with a diagnostic.
     """
-    z, h, r = stacked.residual, stacked.jacobian, stacked.noise_cov
-    if z.size < 1:
+    if stacked.residual.size < 1:
         raise ValueError("empty stacked update")
-    s = h @ cov @ h.T + r
-    s = 0.5 * (s + s.T)
-    eig = np.linalg.eigvalsh(s)
-    if eig[0] <= 0.0 or eig[-1] / eig[0] > MAX_CONDITION:
-        log.warning("innovation covariance condition number %.2e > %.0e; "
-                    "update skipped",
-                    float("inf") if eig[0] <= 0 else eig[-1] / eig[0],
-                    MAX_CONDITION)
-        return state, cov
-    gain = np.linalg.solve(s, h @ cov).T
-    if state.objects:
-        gain[anchor_mask(state), :] = 0.0
-    dx = gain @ z
-    new_state = inject_error(state, dx)
-    i_kh = np.eye(cov.shape[0]) - gain @ h
-    new_cov = i_kh @ cov @ i_kh.T + gain @ r @ gain.T
-    return new_state, symmetrize(new_cov)
+    new_state, new_cov, _ = joseph_update(state, cov, stacked,
+                                          *innovation(cov, stacked))
+    return new_state, new_cov

@@ -21,7 +21,8 @@ from .state import FullState
 from .update_direct import (
     PoseMeasurement,
     StackedUpdate,
-    ekf_update,
+    fill_rotation_residual,
+    select_rows,
     small_angle_residual,
 )
 
@@ -72,73 +73,82 @@ def residual_rotation(core, extr, obj, inv: InvertedMeasurement) -> np.ndarray:
     return small_angle_residual(q_oc, inv.q_oc)
 
 
+def _frame_terms(core, extr):
+    """Products of the frame's rotations that the rows of every object
+    share, evaluated once per frame."""
+    rot_wi, rot_ic = rot_of(core.q_wi), rot_of(extr.q_ic)
+    return (rot_wi, rot_ic.T, core.p_wi + rot_wi @ extr.p_ic,
+            skew(extr.p_ic), -rot_ic.T @ rot_wi.T)
+
+
+def _object_rows(h, terms, obj, i) -> np.ndarray:
+    """Write the Jacobian rows [position; rotation] of object i into h
+    (6 x error_dim) and return the predicted camera position in the object
+    frame."""
+    rot_wi, ric_t, p_wc, skew_p_ic, c = terms
+    rot_wo = rot_of(obj.q_wo)
+    rwo_t = rot_wo.T
+    p_oc = rwo_t @ (p_wc - obj.p_wo)
+    h[:3, st.POS] = rwo_t
+    h[:3, st.ATT] = -rwo_t @ rot_wi @ skew_p_ic
+    h[:3, st.P_IC] = rwo_t @ rot_wi
+    h[:3, st.obj_pos_slice(i)] = -rwo_t
+    h[:3, st.obj_att_slice(i)] = skew(p_oc)
+    h[3:, st.ATT] = ric_t
+    h[3:, st.ATT_IC] = np.eye(3)
+    h[3:, st.obj_att_slice(i)] = c @ rot_wo
+    return p_oc
+
+
 def jacobians(state: FullState, obj_index: int):
     """Analytic Jacobians of the inverted-measurement model, derived with the
     same right-perturbation rules as the direct filter (unmasked)."""
+    h = np.zeros((6, state.error_dim))
+    _object_rows(h, _frame_terms(state.core, state.extr),
+                 state.objects[obj_index], obj_index)
+    return h[:3], h[3:]
+
+
+def stack_frame(state: FullState, matches):
+    """Residuals, Jacobians and noise of every matched measurement of one
+    frame, inverted, six rows [position, rotation] per match in match order.
+
+    matches is a list of (obj_index, PoseMeasurement) as observed; each is
+    inverted here. Returns (StackedUpdate, degenerate) as the direct
+    filter's stack_frame does; the noise blocks are the rotated 3x3
+    covariances of the inverted measurements.
+    """
     core, extr = state.core, state.extr
-    obj = state.objects[obj_index]
-    dim = state.error_dim
-    rot_wi = rot_of(core.q_wi)
-    rot_ic = rot_of(extr.q_ic)
-    rot_wo = rot_of(obj.q_wo)
-    rwo_t = rot_wo.T
-    p_wc = core.p_wi + rot_wi @ extr.p_ic
-
-    h_p = np.zeros((3, dim))
-    h_p[:, st.POS] = rwo_t
-    h_p[:, st.ATT] = -rwo_t @ rot_wi @ skew(extr.p_ic)
-    h_p[:, st.P_IC] = rwo_t @ rot_wi
-    h_p[:, st.obj_pos_slice(obj_index)] = -rwo_t
-    h_p[:, st.obj_att_slice(obj_index)] = skew(rwo_t @ (p_wc - obj.p_wo))
-
-    h_r = np.zeros((3, dim))
-    h_r[:, st.ATT] = rot_ic.T
-    h_r[:, st.ATT_IC] = np.eye(3)
-    h_r[:, st.obj_att_slice(obj_index)] = -rot_ic.T @ rot_wi.T @ rot_wo
-    return h_p, h_r
+    terms = _frame_terms(core, extr)
+    n = len(matches)
+    h = np.zeros((n, 6, state.error_dim))
+    z = np.empty((n, 6))
+    noise = np.zeros((2 * n, 3, 2 * n, 3))
+    degenerate = []
+    for j, (i, meas) in enumerate(matches):
+        inv = invert_measurement(meas)
+        obj = state.objects[i]
+        z[j, :3] = inv.p_oc - _object_rows(h[j], terms, obj, i)
+        q_oc = quat_mul(quat_mul(quat_conj(obj.q_wo), core.q_wi), extr.q_ic)
+        degenerate.append(fill_rotation_residual(z[j, 3:], q_oc, inv.q_oc))
+        noise[2 * j, :, 2 * j] = inv.cov_p
+        noise[2 * j + 1, :, 2 * j + 1] = inv.cov_theta
+    return (StackedUpdate(z.reshape(-1), h.reshape(-1, state.error_dim),
+                          noise.reshape(6 * n, 6 * n)), degenerate)
 
 
-def build_stacked(state: FullState, matches, decisions, prepared=None):
-    """Stack surviving inverted measurements. Only full-measurement verdicts
+def build_stacked(state: FullState, matches, decisions):
+    """Stack the surviving measurements, inverted. matches is a list of
+    (obj_index, PoseMeasurement) as observed. Only full-measurement verdicts
     are legal here; the inversion couples the blocks, so partial rejection is
-    not supported. prepared optionally carries precomputed
-    (z_p, z_r, h_p, h_r) tuples per match."""
+    not supported."""
     if not matches:
         raise ValueError("build_stacked requires at least one match")
-    rows_z, rows_h, blocks = [], [], []
-    for idx, ((obj_index, inv), decision) in enumerate(zip(matches,
-                                                           decisions)):
-        if decision.verdict in (Verdict.REJECT_POSITION,
-                                Verdict.REJECT_ROTATION):
-            raise ValueError(
-                "partial rejection is not supported by the inverse filter")
-        if decision.verdict is Verdict.REJECT_ALL:
-            continue
-        if prepared is None:
-            obj = state.objects[obj_index]
-            h_p, h_r = jacobians(state, obj_index)
-            z_p = residual_position(state.core, state.extr, obj, inv)
-            z_r = residual_rotation(state.core, state.extr, obj, inv)
-        else:
-            z_p, z_r, h_p, h_r = prepared[idx]
-        rows_z.extend([z_p, z_r])
-        rows_h.extend([h_p, h_r])
-        blocks.extend([inv.cov_p, inv.cov_theta])
-    if not rows_z:
-        return None
-    m = 3 * len(blocks)
-    noise = np.zeros((m, m))
-    for k, block in enumerate(blocks):
-        noise[3 * k:3 * k + 3, 3 * k:3 * k + 3] = block
-    return StackedUpdate(np.concatenate(rows_z), np.vstack(rows_h), noise)
-
-
-def inverse_update(state: FullState, cov: np.ndarray, matches, decisions):
-    """Full EKF update from inverted measurements (see build_stacked)."""
-    stacked = build_stacked(state, matches, decisions)
-    if stacked is None:
-        return state, cov
-    return ekf_update(state, cov, stacked)
+    if any(d.verdict in (Verdict.REJECT_POSITION, Verdict.REJECT_ROTATION)
+           for d in decisions):
+        raise ValueError(
+            "partial rejection is not supported by the inverse filter")
+    return select_rows(*stack_frame(state, matches), decisions)
 
 
 __all__ = [
@@ -147,7 +157,7 @@ __all__ = [
     "residual_position",
     "residual_rotation",
     "jacobians",
+    "stack_frame",
     "build_stacked",
-    "inverse_update",
     "GatingDecision",
 ]

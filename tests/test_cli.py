@@ -4,6 +4,7 @@ import pytest
 from orekf.cli import child_seed, cmd_run, cmd_sweep, execute_run, main
 from orekf.config import ConfigError, RunConfig, parse_config, write_config
 from orekf.metrics import rmse_position
+from orekf.presets import get_preset
 from orekf.replay import ReplayLogError, read_log, write_log
 from orekf.runner import run_filter
 
@@ -71,6 +72,12 @@ class TestConfigParsing:
         with pytest.raises(KeyError):
             parse_config(write(tmp_path, BASE_CONFIG.replace(
                 "preset01", "presetXX"))).scenario()
+
+    def test_trajectory_leaves_the_preset_unchanged(self):
+        before = get_preset("preset01").trajectory.duration
+        traj = RunConfig(preset="preset01", duration=3).trajectory()
+        assert traj.duration == 3.0
+        assert get_preset("preset01").trajectory.duration == before
 
     def test_scalar_expands_to_triple(self, tmp_path):
         cfg = parse_config(write(tmp_path, BASE_CONFIG))
@@ -141,6 +148,27 @@ class TestReplay:
         (tmp_path / "trunc.log").write_text(data[: len(data) // 2])
         with pytest.raises(ReplayLogError):
             read_log(tmp_path / "trunc.log")
+
+    def test_misaligned_measurement_raises_with_line_number(self, tmp_path):
+        cfg = parse_config(write(tmp_path, BASE_CONFIG))
+        imu, meas, _ = execute_run(cfg, cfg.seed)
+        log_path = tmp_path / "r.log"
+        write_log(log_path, imu, meas)
+        lines = log_path.read_text().splitlines(keepends=True)
+        idx = [i for i, line in enumerate(lines) if ",MEAS," in line][5]
+        t, rest = lines[idx].split(",", 1)
+        lines[idx] = format(float(t) + 1e-6, ".17g") + "," + rest
+        (tmp_path / "shifted.log").write_text("".join(lines))
+        with pytest.raises(ReplayLogError, match=f"^line {idx + 1}: MEAS"):
+            read_log(tmp_path / "shifted.log")
+
+    def test_measurements_land_on_their_ticks(self, tmp_path):
+        cfg = parse_config(write(tmp_path, BASE_CONFIG))
+        imu, meas, _ = execute_run(cfg, cfg.seed)
+        write_log(tmp_path / "r.log", imu, meas)
+        _, meas2 = read_log(tmp_path / "r.log")
+        assert [[m.t for m in f] for f in meas2.ticks] \
+            == [[m.t for m in f] for f in meas.ticks]
 
     def test_version_mismatch_raises(self, tmp_path):
         path = tmp_path / "bad.log"

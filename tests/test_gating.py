@@ -83,6 +83,14 @@ class TestChi2Full:
         d = chi2_full(np.ones(2), h, np.eye(21) * 1e-6, np.zeros((2, 2)), 0.05)
         assert d.verdict is Verdict.REJECT_ALL
 
+    def test_indefinite_innovation_rejects(self):
+        # S = diag(-1.99, 1.01, 1.01) has no small singular value, so a test
+        # on singular values alone would pass it and give a negative statistic
+        d = chi2_full(np.array([1.0, 0, 0]), np.eye(3), np.diag([-2.0, 1, 1]),
+                      0.01 * np.eye(3), 0.05)
+        assert d.verdict is Verdict.REJECT_ALL
+        assert d.statistic == float("inf")
+
     def test_monte_carlo_calibration(self):
         rng = np.random.default_rng(0)
         n = 100_000
@@ -130,6 +138,15 @@ class TestChi2Partial:
         d = chi2_partial(np.ones(3) * 5.0, np.zeros(3), self.h_p, self.h_r,
                          self.cov, np.eye(3) * 0.1, np.eye(3) * 0.1, 0.05)
         assert d.verdict is Verdict.REJECT_POSITION
+
+    def test_indefinite_block_rejects_that_block(self):
+        cov = np.eye(21) * 0.01
+        cov[0, 0] = -2.0
+        d = chi2_partial(np.array([1.0, 0, 0]), np.zeros(3), self.h_p,
+                         self.h_r, cov, np.eye(3) * 0.01, np.eye(3) * 0.01,
+                         0.05)
+        assert d.verdict is Verdict.REJECT_POSITION
+        assert d.statistic == float("inf")
 
     def test_marginal_statistics_match_oracle(self):
         rng = np.random.default_rng(1)

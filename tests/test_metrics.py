@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from orekf.geom3 import QUAT_IDENTITY, exp_so3, quat_mul, quat_of
+from orekf.geom3 import QUAT_IDENTITY, exp_so3, log_so3, quat_mul, quat_of, \
+    rot_of
 from orekf.metrics import RunRecord, anees, max_position_error, \
     rmse_orientation, rmse_position
 
@@ -149,3 +150,63 @@ class TestAnees:
         rec = make_record(np.zeros((3, 3)), np.zeros((3, 3)))
         with pytest.raises(ValueError):
             anees(rec, "velocity")
+
+
+def loop_attitude_errors(run):
+    """Per-tick reference for RunRecord.attitude_errors."""
+    return np.array([log_so3(rot_of(qe).T @ rot_of(qt))
+                     for qe, qt in zip(run.q_est, run.q_true)])
+
+
+def loop_anees(run, block, dof=3):
+    """Per-tick reference for anees: cond test and solve tick by tick."""
+    errs = (run.position_errors() if block == "position"
+            else loop_attitude_errors(run))
+    covs = run.cov_pos if block == "position" else run.cov_att
+    vals = [float(e @ np.linalg.solve(p, e)) / dof
+            for e, p in zip(errs, covs) if not np.linalg.cond(p) > 1e12]
+    return float(np.mean(vals)) if vals else float("nan")
+
+
+class TestBatchedAgainstLoops:
+    def random_record(self, rng, k=200):
+        q_est = np.array([quat_of(exp_so3(rng.normal(size=3)))
+                          for _ in range(k)])
+        q_true = np.array([quat_mul(q, quat_of(exp_so3(rng.normal(size=3))))
+                           for q in q_est])
+        a = rng.normal(size=(2, k, 3, 3))
+        covs = a @ np.swapaxes(a, 2, 3) * 0.01 + 1e-4 * np.eye(3)
+        return RunRecord(np.arange(k, dtype=float), rng.normal(size=(k, 3)),
+                         q_true, rng.normal(size=(k, 3)), q_est, covs[0],
+                         covs[1])
+
+    def test_attitude_errors_near_pi_and_identity(self):
+        rng = np.random.default_rng(6)
+        rec = self.random_record(rng)
+        axis = np.array([0.6, -0.8, 0.0])
+        for k, angle in ((3, np.pi - 1e-9), (4, np.pi - 5e-7), (5, np.pi),
+                         (6, 0.0), (7, 1e-9)):
+            rec.q_true[k] = quat_mul(rec.q_est[k],
+                                     quat_of(exp_so3(angle * axis)))
+        got = rec.attitude_errors()
+        want = loop_attitude_errors(rec)
+        assert_allclose(got, want, rtol=1e-12, atol=1e-15)
+        assert np.linalg.norm(got[3]) > np.pi - 1e-6
+
+    def test_anees_with_singular_ticks(self, caplog):
+        rng = np.random.default_rng(7)
+        rec = self.random_record(rng)
+        rec.cov_pos[10] = 0.0
+        rec.cov_pos[11] = np.diag([1.0, 1.0, 1e-14])
+        rec.cov_att[12] = 0.0
+        for block in ("position", "orientation"):
+            with caplog.at_level("WARNING", logger="orekf.metrics"):
+                caplog.clear()
+                got = anees(rec, block)
+            assert_allclose(got, loop_anees(rec, block), rtol=1e-12)
+            assert "skipped" in caplog.text
+
+    def test_all_ticks_singular_is_nan(self):
+        rec = make_record(np.zeros((3, 3)), np.ones((3, 3)),
+                          cov_pos=np.zeros((3, 3, 3)))
+        assert np.isnan(anees(rec, "position"))

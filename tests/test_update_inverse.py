@@ -5,7 +5,7 @@ from numpy.testing import assert_allclose
 from orekf.gating import GatingDecision, Verdict
 from orekf.geom3 import QUAT_IDENTITY, exp_so3, quat_conj, quat_mul, quat_of, rot_of
 from orekf.state import CoreState, Extrinsics, FullState, ObjectState
-from orekf.update_direct import PoseMeasurement
+from orekf.update_direct import PoseMeasurement, ekf_update
 from orekf.update_direct import residual_position as direct_residual_position
 from orekf import update_inverse as ui
 from tests.test_update_direct import consistent_measurement, fd_jacobian, random_state
@@ -122,27 +122,25 @@ class TestInverseUpdate:
     def test_partial_verdicts_rejected(self):
         rng = np.random.default_rng(6)
         s = random_state(rng, 1)
-        inv = inverted_consistent(s, 0)
         with pytest.raises(ValueError):
-            ui.inverse_update(s, np.eye(27) * 1e-4, [(0, inv)],
-                              [GatingDecision(Verdict.REJECT_ROTATION, 0.0,
-                                              "aorp")])
+            ui.build_stacked(s, [(0, consistent_measurement(s, 0))],
+                             [GatingDecision(Verdict.REJECT_ROTATION, 0.0,
+                                             "aorp")])
 
     def test_zero_residual_keeps_state(self):
         rng = np.random.default_rng(7)
         s = random_state(rng, 1)
         a = rng.normal(size=(27, 27))
         cov = a @ a.T * 1e-4 + np.eye(27) * 1e-6
-        s2, cov2 = ui.inverse_update(s, cov, [(0, inverted_consistent(s, 0))],
-                                     [ACCEPT])
+        stacked = ui.build_stacked(s, [(0, consistent_measurement(s, 0))],
+                                   [ACCEPT])
+        s2, cov2 = ekf_update(s, cov, stacked)
         assert_allclose(s2.core.p_wi, s.core.p_wi, atol=1e-12)
         assert np.trace(cov2) < np.trace(cov)
 
     def test_reject_all_skips_update(self):
         rng = np.random.default_rng(8)
         s = random_state(rng, 1)
-        cov = np.eye(27) * 1e-4
-        s2, cov2 = ui.inverse_update(
-            s, cov, [(0, inverted_consistent(s, 0))],
-            [GatingDecision(Verdict.REJECT_ALL, 0.0, "aor")])
-        assert np.array_equal(cov2, cov)
+        assert ui.build_stacked(
+            s, [(0, consistent_measurement(s, 0))],
+            [GatingDecision(Verdict.REJECT_ALL, 0.0, "aor")]) is None
