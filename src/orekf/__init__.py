@@ -13,7 +13,7 @@ from .geom3 import Pose
 from .matching import MatchConfig
 from .metrics import RunRecord, anees, max_position_error, rmse_orientation, \
     rmse_position
-from .propagation import ImuNoise, ImuSample, propagate, propagate_batch
+from .propagation import ImuNoise, propagate_batch
 from .runner import FilterSetup, run_filter
 from .sim import SensorSpec, TrajectorySpec, WorldObject, WorldSpec, \
     camera_forward_extrinsics, gen_imu, gen_measurements
@@ -24,8 +24,6 @@ from .update_direct import PoseMeasurement
 __all__ = [
     "Pose",
     "ImuNoise",
-    "ImuSample",
-    "propagate",
     "propagate_batch",
     "CoreState",
     "Extrinsics",

@@ -16,13 +16,10 @@ import numpy as np
 
 from . import metrics as mt
 from .config import ConfigError, RunConfig, parse_config
-from .replay import ReplayLogError, read_log, write_log
-from .runner import run_filter
-from .sim import gen_imu, gen_measurements
-
-
-def _f(x) -> str:
-    return format(float(x), ".17g")
+from .gating import METHODS
+from .replay import ReplayLogError, _f, read_log, write_log
+from .runner import MODELS, run_filter
+from .sim import SIGMA_MODES, gen_imu, gen_measurements
 
 
 def child_seed(base: int, *key) -> int:
@@ -170,17 +167,14 @@ def write_sweep_outputs(out_dir: Path, cfg: RunConfig, results):
 
     mean, std, diverged = sweep_stats(cfg, results)
     theta_deg = [np.degrees(t) for t in cfg.sweep_sigma_theta]
+    cells = [["---" if np.isnan(m) else f"{m:.3f} +- {s:.3f}"
+              for m, s in zip(mean_row, std_row)]
+             for mean_row, std_row in zip(mean, std)]
 
     with open(out_dir / "sweep_table.csv", "w", encoding="utf-8") as fh:
         fh.write("sigma_p_m," + ",".join(f"{d:.3g}deg" for d in theta_deg) + "\n")
-        for i, sp in enumerate(cfg.sweep_sigma_p):
-            cells = []
-            for j in range(len(theta_deg)):
-                if np.isnan(mean[i, j]):
-                    cells.append("---")
-                else:
-                    cells.append(f"{mean[i, j]:.3f} +- {std[i, j]:.3f}")
-            fh.write(f"{sp:g}," + ",".join(cells) + "\n")
+        for sp, row in zip(cfg.sweep_sigma_p, cells):
+            fh.write(f"{sp:g}," + ",".join(row) + "\n")
 
     with open(out_dir / "sweep_table.md", "w", encoding="utf-8") as fh:
         fh.write(f"Position RMSE [m], mean +- std over {cfg.runs_per_cell} "
@@ -191,17 +185,10 @@ def write_sweep_outputs(out_dir: Path, cfg: RunConfig, results):
         fh.write("| sigma_p \\ sigma_theta | "
                  + " | ".join(f"{d:.3g} deg" for d in theta_deg) + " |\n")
         fh.write("|" + "---|" * (len(theta_deg) + 1) + "\n")
-        for i, sp in enumerate(cfg.sweep_sigma_p):
-            cells = []
-            for j in range(len(theta_deg)):
-                if np.isnan(mean[i, j]):
-                    cells.append("---")
-                else:
-                    txt = f"{mean[i, j]:.3f} +- {std[i, j]:.3f}"
-                    if diverged[i, j]:
-                        txt += f" ({diverged[i, j]} div)"
-                    cells.append(txt)
-            fh.write(f"| {sp * 100:g} cm | " + " | ".join(cells) + " |\n")
+        for sp, row, div_row in zip(cfg.sweep_sigma_p, cells, diverged):
+            fh.write(f"| {sp * 100:g} cm | " + " | ".join(
+                cell + (f" ({n} div)" if n and cell != "---" else "")
+                for cell, n in zip(row, div_row)) + " |\n")
 
 
 def cmd_sweep(cfg: RunConfig, out_dir: Path, parallel: int):
@@ -241,14 +228,11 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", required=True, type=Path)
         p.add_argument("--out", required=True, type=Path)
         p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--filter", choices=("direct", "inverse"), default=None)
-        p.add_argument("--gating",
-                       choices=("none", "chi2", "chi2p", "aor", "aorp"),
-                       default=None)
+        p.add_argument("--filter", choices=tuple(MODELS), default=None)
+        p.add_argument("--gating", choices=METHODS, default=None)
         if with_sigma_mode:
             p.add_argument("--sigma-mode", dest="sigma_mode",
-                           choices=("exact", "fixed", "episodes"),
-                           default=None)
+                           choices=SIGMA_MODES, default=None)
 
     p_run = sub.add_parser("run", help="simulate and filter a single run")
     common(p_run)

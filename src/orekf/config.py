@@ -9,7 +9,7 @@ from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
-from .gating import GatingConfig, METHODS
+from .gating import GatingConfig
 from .matching import MatchConfig
 from .presets import ScenarioPreset, get_preset
 from .propagation import ImuNoise
@@ -17,8 +17,6 @@ from .runner import FilterSetup
 from .sim import SensorSpec, TrajectorySpec, WorldSpec, camera_forward_extrinsics
 
 SCHEMA_VERSION = 1
-
-SIGMA_MODES = ("exact", "fixed", "episodes")
 
 
 class ConfigError(ValueError):
@@ -120,15 +118,9 @@ class RunConfig:
         )
 
     def validate(self):
-        if self.filter not in ("direct", "inverse"):
-            raise ConfigError(f"filter must be direct or inverse, got "
-                              f"{self.filter!r}")
-        if self.gating not in METHODS:
-            raise ConfigError(f"gating must be one of {METHODS}, got "
-                              f"{self.gating!r}")
-        if self.sigma_mode not in SIGMA_MODES:
-            raise ConfigError(f"sigma_mode must be one of {SIGMA_MODES}, got "
-                              f"{self.sigma_mode!r}")
+        """Check the config by building what a run builds from it; the
+        filter, gating method and sigma mode are checked by their owners
+        (runner.MODELS, gating.METHODS, sim.SIGMA_MODES)."""
         if self.duration <= 0:
             raise ConfigError("duration must be positive")
         if self.runs_per_cell < 1:
@@ -136,6 +128,7 @@ class RunConfig:
         self.scenario()  # raises on unknown preset
         try:
             self.filter_setup()
+            self.sensor_spec()
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
         return self
@@ -165,6 +158,8 @@ def _parse_value(key: str, raw: str, line_no: int):
                     vals = vals * 3
                 if len(vals) != 3:
                     raise ValueError("expected 1 or 3 values")
+            if key == "episodes" and len(vals) % 3:
+                raise ValueError("expected (start, end, factor) triples")
             return vals
         return float(raw)
     except ValueError as exc:
@@ -173,10 +168,12 @@ def _parse_value(key: str, raw: str, line_no: int):
 
 
 def parse_config(path) -> RunConfig:
-    """Parse a config file; unknown keys, bad values, or a missing/mismatched
-    config_version are reported with the offending line and field name."""
+    """Parse a config file; unknown or repeated keys, bad values, or a
+    missing/mismatched config_version are reported with the offending line
+    and field name."""
     known = {f.name for f in fields(RunConfig)}
     values = {}
+    seen = {}
     version = None
     with open(path, "r", encoding="utf-8") as fh:
         for line_no, line in enumerate(fh, start=1):
@@ -187,6 +184,10 @@ def parse_config(path) -> RunConfig:
                 raise ConfigError(f"line {line_no}: expected 'key = value', "
                                   f"got {text!r}")
             key, raw = (s.strip() for s in text.split("=", 1))
+            if key in seen:
+                raise ConfigError(f"line {line_no}: field {key!r} repeated "
+                                  f"(first given on line {seen[key]})")
+            seen[key] = line_no
             if key == "config_version":
                 try:
                     version = int(raw)

@@ -52,7 +52,8 @@ class GatingConfig:
 
     def __post_init__(self):
         if self.method not in METHODS:
-            raise ValueError(f"unknown gating method {self.method!r}")
+            raise ValueError(f"unknown gating method {self.method!r}; "
+                             f"expected one of {METHODS}")
         if not 0.0 < self.chi2_alpha < 1.0:
             raise ValueError("chi2_alpha must be in (0, 1)")
         for name in ("aor_tau_p", "aor_tau_theta", "aorp_tau_p",

@@ -259,11 +259,6 @@ def quat_exp(theta_vec: np.ndarray) -> np.ndarray:
     return out
 
 
-def rotate(q: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Apply the rotation of q to a 3-vector."""
-    return rot_of(q) @ np.asarray(v, dtype=float)
-
-
 def inverse_position(p_ab: np.ndarray, rot_ab: np.ndarray) -> np.ndarray:
     """Translation of the inverted transform: p_BA = -R_AB^T p_AB."""
     return -(np.asarray(rot_ab).T @ np.asarray(p_ab, dtype=float))

@@ -13,6 +13,8 @@ FORMAT_HEADER = "replay-log 1"
 
 
 def _f(x: float) -> str:
+    """A float with 17 significant digits, which reads back bit for bit;
+    every output file of the package writes its floats with this."""
     return format(float(x), ".17g")
 
 
@@ -28,13 +30,17 @@ def write_log(path, imu: ImuStream, meas: MeasurementStream):
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(FORMAT_HEADER + "\n")
         i = 0
-        for k in range(n_cam):
-            while i < n_imu and imu.t[i] <= meas.t[k] + 1e-12:
+        for k in range(n_cam + 1):
+            # IMU samples up to camera tick k; after the last tick, the rest
+            t_end = meas.t[k] + 1e-12 if k < n_cam else np.inf
+            while i < n_imu and imu.t[i] <= t_end:
                 fh.write(",".join(
                     [_f(imu.t[i]), "IMU"]
                     + [_f(v) for v in imu.acc[i]]
                     + [_f(v) for v in imu.gyro[i]]) + "\n")
                 i += 1
+            if k == n_cam:
+                break
             fh.write(",".join(
                 [_f(meas.t[k]), "TRUTH"]
                 + [_f(v) for v in meas.truth_pos[k]]
@@ -47,12 +53,6 @@ def write_log(path, imu: ImuStream, meas: MeasurementStream):
                     + [_f(v) for v in m.q_co]
                     + [_f(v) for v in m.var_p]
                     + [_f(v) for v in m.var_theta]) + "\n")
-        while i < n_imu:
-            fh.write(",".join(
-                [_f(imu.t[i]), "IMU"]
-                + [_f(v) for v in imu.acc[i]]
-                + [_f(v) for v in imu.gyro[i]]) + "\n")
-            i += 1
 
 
 def read_log(path):

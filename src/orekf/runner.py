@@ -23,8 +23,8 @@ log = logging.getLogger(__name__)
 
 INIT_VAR = 1e-12
 
-FILTERS = ("direct", "inverse")
-INVERSE_GATING = ("none", "chi2", "aor")
+# The filters by name: the one place that knows which ones exist.
+MODELS = {"direct": ud.DIRECT, "inverse": ui.INVERSE}
 
 
 @dataclass
@@ -39,14 +39,14 @@ class FilterSetup:
     divergence_bound: float = 10.0
 
     def __post_init__(self):
-        if self.filter_type not in FILTERS:
-            raise ValueError(f"unknown filter type {self.filter_type!r}")
-        if (self.filter_type == "inverse"
-                and self.gating.method not in INVERSE_GATING):
+        if self.filter_type not in MODELS:
+            raise ValueError(f"unknown filter type {self.filter_type!r}; "
+                             f"expected one of {tuple(MODELS)}")
+        if (not MODELS[self.filter_type].partial_ok
+                and self.gating.method in gt.PARTIAL_METHODS):
             raise ValueError(
-                "the inverse filter couples position and rotation; it "
-                f"supports gating {INVERSE_GATING}, not "
-                f"{self.gating.method!r}")
+                f"the {self.filter_type} filter couples position and "
+                f"rotation; it cannot gate with {self.gating.method!r}")
 
 
 def _initial_state(meas_stream: MeasurementStream,
@@ -67,14 +67,13 @@ def _update_frame(state, cov, frame, pairs, setup: FilterSetup, counts):
     once; gating tests diagonal blocks of S and the update uses the
     principal submatrix of S and the rows of H P that gating kept.
     """
-    direct = setup.filter_type == "direct"
-    model = ud if direct else ui
+    model = MODELS[setup.filter_type]
     measurements = [frame[mi] for mi, _ in pairs]
-    stacked, degenerate = model.stack_frame(
-        state, [(oi, m) for (_, oi), m in zip(pairs, measurements)])
+    stacked, degenerate = ud.stack_frame(
+        state, [(oi, m) for (_, oi), m in zip(pairs, measurements)], model)
     s, hp = ud.innovation(cov, stacked)
     decisions = gt.gate_frame(setup.gating, s, stacked.residual, measurements,
-                              degenerate, partial_ok=direct)
+                              degenerate, partial_ok=model.partial_ok)
     for decision in decisions:
         if decision.verdict is gt.Verdict.ACCEPT_ALL:
             counts["accepted"] += 1
@@ -105,6 +104,9 @@ def run_filter(imu: ImuStream, meas_stream: MeasurementStream,
     batch. The run stops early and is marked diverged when the position
     error exceeds the divergence bound.
     """
+    if len(meas_stream.t) == 0:
+        raise ValueError("the measurement stream is empty: it has no camera "
+                         "ticks to start the filter from")
     if np.any(np.diff(imu.t) <= 0) or np.any(np.diff(meas_stream.t) <= 0):
         raise ValueError("timestamps must be strictly increasing")
     n_imu = len(imu.t) - 1

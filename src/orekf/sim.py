@@ -34,6 +34,8 @@ from .update_direct import PoseMeasurement
 
 TWO_PI = 2.0 * np.pi
 
+SIGMA_MODES = ("exact", "fixed", "episodes")
+
 
 def _as3(x) -> np.ndarray:
     arr = np.asarray(x, dtype=float)
@@ -65,23 +67,6 @@ class TrajectorySpec:
         for name in ("pos_offset", "pos_amp", "pos_freq", "pos_phase",
                      "eul_offset", "eul_amp", "eul_freq", "eul_phase"):
             setattr(self, name, _as3(getattr(self, name)))
-
-    @classmethod
-    def randomized(cls, seed: int, duration: float = 20.0,
-                   pos_scale: float = 0.3, eul_scale: float = 0.15):
-        """Phase/amplitude diversity keyed by a seed."""
-        rng = np.random.Generator(np.random.Philox(
-            np.random.SeedSequence(seed, spawn_key=(99,))))
-        return cls(
-            duration=duration,
-            pos_amp=rng.uniform(0.3, 1.0, 3) * pos_scale,
-            pos_freq=rng.uniform(0.1, 0.35, 3),
-            pos_phase=rng.uniform(0, TWO_PI, 3),
-            eul_amp=rng.uniform(0.3, 1.0, 3) * eul_scale,
-            eul_freq=rng.uniform(0.05, 0.25, 3),
-            eul_phase=rng.uniform(0, TWO_PI, 3),
-            seed=seed,
-        )
 
     def position(self, t):
         t = np.asarray(t, dtype=float)[..., None]
@@ -210,8 +195,9 @@ class SensorSpec:
         ratio = self.imu_rate / self.cam_rate
         if abs(ratio - round(ratio)) > 1e-9:
             raise ValueError("camera rate must divide the IMU rate")
-        if self.mode not in ("exact", "fixed", "episodes"):
-            raise ValueError(f"unknown reporting mode {self.mode!r}")
+        if self.mode not in SIGMA_MODES:
+            raise ValueError(f"unknown sigma mode {self.mode!r}; expected "
+                             f"one of {SIGMA_MODES}")
         self.sigma_p = _as3(self.sigma_p)
         self.sigma_theta = _as3(self.sigma_theta)
         self.fixed_sigma_p = _as3(self.fixed_sigma_p)
@@ -364,25 +350,27 @@ def _relative_poses(traj: TrajectorySpec, world: WorldSpec,
     return p_co, rot_co
 
 
+def _in_frustum(p_co: np.ndarray, fov_deg: float,
+               max_range_m: float) -> np.ndarray:
+    """Mask of the camera-frame positions (..., 3) inside the frustum: a
+    cone of half-angle fov/2 about the optical axis +z, range limit
+    inclusive, the camera centre itself excluded."""
+    rng_m = np.linalg.norm(p_co, axis=-1)
+    near = (rng_m >= 1e-9) & (rng_m <= max_range_m)
+    cos = np.clip(p_co[..., 2] / np.where(near, rng_m, 1.0), -1.0, 1.0)
+    return near & (np.arccos(cos) <= np.deg2rad(fov_deg) / 2.0)
+
+
 def visibility(traj: TrajectorySpec, world: WorldSpec, t: float,
                fov_deg: float, max_range_m: float,
                extr: Extrinsics | None = None) -> list:
-    """Ids of objects inside the camera frustum (cone half-angle fov/2 about
-    the optical axis +z, range limit inclusive) at time t."""
+    """Ids of the objects inside the camera frustum at time t (see
+    _in_frustum)."""
     if extr is None:
         extr = camera_forward_extrinsics()
     p_co, _ = _relative_poses(traj, world, extr, np.atleast_1d(float(t)))
-    out = []
-    half = np.deg2rad(fov_deg) / 2.0
-    for j, obj in enumerate(world.objects):
-        v = p_co[0, j]
-        rng_m = float(np.linalg.norm(v))
-        if rng_m < 1e-9 or rng_m > max_range_m:
-            continue
-        angle = float(np.arccos(np.clip(v[2] / rng_m, -1.0, 1.0)))
-        if angle <= half:
-            out.append(obj.obj_id)
-    return out
+    visible = _in_frustum(p_co[0], fov_deg, max_range_m)
+    return [obj.obj_id for obj, v in zip(world.objects, visible) if v]
 
 
 def gen_measurements(traj: TrajectorySpec, world: WorldSpec,
@@ -404,7 +392,7 @@ def gen_measurements(traj: TrajectorySpec, world: WorldSpec,
     noise_r = rng.standard_normal((n_ticks + 1, n_o, 3))
 
     floor = sensor.sigma_floor
-    half = np.deg2rad(sensor.fov_deg) / 2.0
+    visible = _in_frustum(p_co, sensor.fov_deg, sensor.max_range)
     inflations = np.array([sensor.rotation_inflation(tk) for tk in t])
     sig_theta_true = sensor.sigma_theta * inflations[:, 0:1]  # (K, 3)
     p_meas_all = p_co + noise_p * sensor.sigma_p
@@ -422,11 +410,7 @@ def gen_measurements(traj: TrajectorySpec, world: WorldSpec,
             rep_t = np.maximum(sensor.sigma_theta * inflations[k, 1], floor)
         frame = []
         for j, obj in enumerate(world.objects):
-            v = p_co[k, j]
-            rng_m = float(np.linalg.norm(v))
-            if rng_m < 1e-9 or rng_m > sensor.max_range:
-                continue
-            if np.arccos(np.clip(v[2] / rng_m, -1.0, 1.0)) > half:
+            if not visible[k, j]:
                 continue
             frame.append(PoseMeasurement(
                 t=t[k], object_class=obj.obj_class, p_co=p_meas_all[k, j],

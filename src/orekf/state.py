@@ -102,36 +102,11 @@ class FullState:
         return FullState(self.core.copy(), self.extr.copy(),
                          [o.copy() for o in self.objects])
 
-    def object_index(self, obj_id: int) -> int:
-        for i, obj in enumerate(self.objects):
-            if obj.obj_id == obj_id:
-                return i
-        raise KeyError(f"unknown object id {obj_id}")
-
     def anchor_index(self) -> int:
         for i, obj in enumerate(self.objects):
             if obj.anchor:
                 return i
         raise ValueError("no objects registered")
-
-    def to_record(self, t: float, cov: np.ndarray) -> dict:
-        """Flat snapshot (timestamp + nominal values + P diagonal) for logging."""
-        rec = {"t": t}
-        for name, vec in (("p_wi", self.core.p_wi), ("v_wi", self.core.v_wi),
-                          ("q_wi", self.core.q_wi),
-                          ("bias_gyro", self.core.bias_gyro),
-                          ("bias_accel", self.core.bias_accel),
-                          ("p_ic", self.extr.p_ic), ("q_ic", self.extr.q_ic)):
-            for k, val in enumerate(vec):
-                rec[f"{name}_{k}"] = float(val)
-        for obj in self.objects:
-            for k, val in enumerate(obj.p_wo):
-                rec[f"obj{obj.obj_id}_p_{k}"] = float(val)
-            for k, val in enumerate(obj.q_wo):
-                rec[f"obj{obj.obj_id}_q_{k}"] = float(val)
-        for k, val in enumerate(np.diag(cov)):
-            rec[f"P_{k}"] = float(val)
-        return rec
 
 
 def symmetrize(cov: np.ndarray) -> np.ndarray:

@@ -8,14 +8,17 @@ rejected on its own. Rotation error states are right perturbations and the
 rotation residual is the small-angle vector 2*qv/qw of the predicted-to-
 measured quaternion difference.
 
-The stacked frame layout, the innovation covariance and the Joseph-form
-update defined here serve both filters.
+A filter is described by one MeasurementModel value (DIRECT here,
+update_inverse.INVERSE for the baseline); the stacking, Jacobian and
+row-selection functions, the innovation covariance and the Joseph-form
+update defined here serve both.
 """
 
 from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -121,13 +124,15 @@ def _frame_terms(core, extr):
     a = ric_t @ rwi_t
     return (rot_wi, rot_ic, ric_t, rwi_t, a, -ric_t @ rwi_t,
             skew(rwi_t @ core.p_wi), -skew(ric_t @ extr.p_ic),
-            skew(a @ core.p_wi))
+            skew(a @ core.p_wi),
+            quat_mul(quat_conj(extr.q_ic), quat_conj(core.q_wi)))
 
 
-def _object_rows(h, terms, core, extr, obj, i) -> np.ndarray:
+def _object_rows(h, terms, core, extr, obj, i):
     """Write the Jacobian rows [position; rotation] of object i into h
-    (6 x error_dim) and return its predicted relative position."""
-    rot_wi, rot_ic, ric_t, rwi_t, a, neg_a, s_wi, neg_s_ic, s_a_wi = terms
+    (6 x error_dim) and return its predicted relative pose (p_co, q_co)."""
+    rot_wi, rot_ic, ric_t, rwi_t, a, neg_a, s_wi, neg_s_ic, s_a_wi, q_cw = \
+        terms
     h[:3, st.POS] = neg_a
     h[:3, st.ATT] = ric_t @ (skew(rwi_t @ obj.p_wo) - s_wi)
     h[:3, st.P_IC] = -ric_t
@@ -137,10 +142,41 @@ def _object_rows(h, terms, core, extr, obj, i) -> np.ndarray:
     h[3:, st.ATT] = h_att
     h[3:, st.ATT_IC] = h_att @ rot_ic
     h[3:, st.obj_att_slice(i)] = _I3
-    return ric_t @ (-extr.p_ic + rwi_t @ (obj.p_wo - core.p_wi))
+    return (ric_t @ (-extr.p_ic + rwi_t @ (obj.p_wo - core.p_wi)),
+            quat_mul(q_cw, obj.q_wo))
 
 
-def jacobians(state: FullState, obj_index: int):
+def _observe(meas: PoseMeasurement):
+    cov = np.zeros((2, 9))
+    cov[0, ::4], cov[1, ::4] = meas.var_p, meas.var_theta  # two 3x3 diagonals
+    cov_p, cov_theta = cov.reshape(2, 3, 3)
+    return meas.p_co, meas.q_co, cov_p, cov_theta
+
+
+class MeasurementModel(NamedTuple):
+    """How one filter turns a matched measurement into six stacked rows.
+
+    observe(meas) -> (p, q, cov_p, cov_theta): the measurement as the
+    filter fuses it, with its 3x3 position and rotation noise blocks.
+    frame_terms(core, extr): the rotation products every object shares.
+    object_rows(h, terms, core, extr, obj, i) -> (p_pred, q_pred): writes
+    the Jacobian rows [position; rotation] of object i into h (6 x
+    error_dim) and returns the prediction of observe's (p, q).
+    partial_ok: whether one block of a measurement may be rejected alone.
+    """
+
+    observe: Callable
+    frame_terms: Callable
+    object_rows: Callable
+    partial_ok: bool
+
+
+# The measurement as observed: decoupled blocks, per-axis variances as-is.
+DIRECT = MeasurementModel(_observe, _frame_terms, _object_rows,
+                          partial_ok=True)
+
+
+def jacobians(state: FullState, obj_index: int, model=DIRECT):
     """Analytic measurement Jacobians (3 x error_dim each) for one object.
 
     Returns the unmasked blocks; the anchor is masked out of the correction
@@ -149,47 +185,45 @@ def jacobians(state: FullState, obj_index: int):
     measurements of different objects are independent.
     """
     h = np.zeros((6, state.error_dim))
-    _object_rows(h, _frame_terms(state.core, state.extr), state.core,
-                 state.extr, state.objects[obj_index], obj_index)
+    model.object_rows(h, model.frame_terms(state.core, state.extr),
+                      state.core, state.extr, state.objects[obj_index],
+                      obj_index)
     return h[:3], h[3:]
 
 
-def fill_rotation_residual(z: np.ndarray, q_pred, q_meas) -> bool:
-    """Write the small-angle rotation residual into z (3,); a degenerate
-    residual (near pi) writes zeros and returns True."""
-    try:
-        z[:] = small_angle_residual(q_pred, q_meas)
-    except DegenerateRotationError:
-        z[:] = 0.0
-        return True
-    return False
-
-
-def stack_frame(state: FullState, matches):
+def stack_frame(state: FullState, matches, model=DIRECT):
     """Residuals, Jacobians and noise of every matched measurement of one
     frame, six rows [position, rotation] per match in match order.
 
-    matches is a list of (obj_index, PoseMeasurement). Returns
-    (StackedUpdate, degenerate): degenerate[j] is True when the rotation
-    residual of match j is too close to pi to use; its rows are zero in the
-    residual and must not be kept. The block-diagonal noise needs no
-    inversion or rotation: the reported per-axis variances are used as-is.
+    matches is a list of (obj_index, PoseMeasurement) as observed; model
+    says how each enters the filter. Returns (StackedUpdate, degenerate):
+    degenerate[j] is True when the rotation residual of match j is too
+    close to pi to use; its rows are zero in the residual and must not be
+    kept. The noise is block-diagonal in the 3x3 blocks of model.observe.
     """
     core, extr = state.core, state.extr
-    terms = _frame_terms(core, extr)
-    q_cw = quat_mul(quat_conj(extr.q_ic), quat_conj(core.q_wi))
-    h = np.zeros((len(matches), 6, state.error_dim))
-    z = np.empty((len(matches), 6))
+    terms = model.frame_terms(core, extr)
+    n = len(matches)
+    h = np.zeros((n, 6, state.error_dim))
+    z = np.empty((n, 6))
+    blocks = np.empty((n, 2, 3, 3))
     degenerate = []
     for j, (i, meas) in enumerate(matches):
-        obj = state.objects[i]
-        z[j, :3] = meas.p_co - _object_rows(h[j], terms, core, extr, obj, i)
-        degenerate.append(fill_rotation_residual(
-            z[j, 3:], quat_mul(q_cw, obj.q_wo), meas.q_co))
-    noise = np.diag(np.concatenate([v for _, m in matches
-                                    for v in (m.var_p, m.var_theta)]))
+        p, q, blocks[j, 0], blocks[j, 1] = model.observe(meas)
+        p_pred, q_pred = model.object_rows(h[j], terms, core, extr,
+                                           state.objects[i], i)
+        z[j, :3] = p - p_pred
+        try:
+            z[j, 3:] = small_angle_residual(q_pred, q)
+            degenerate.append(False)
+        except DegenerateRotationError:
+            z[j, 3:] = 0.0
+            degenerate.append(True)
+    noise = np.zeros((2 * n, 3, 2 * n, 3))
+    diag = np.arange(2 * n)
+    noise[diag, :, diag] = blocks.reshape(2 * n, 3, 3)
     return (StackedUpdate(z.reshape(-1), h.reshape(-1, state.error_dim),
-                          noise), degenerate)
+                          noise.reshape(6 * n, 6 * n)), degenerate)
 
 
 def kept_rows(decisions) -> np.ndarray:
@@ -203,9 +237,21 @@ def kept_rows(decisions) -> np.ndarray:
     return np.array(keep, dtype=np.intp)
 
 
-def select_rows(stacked: StackedUpdate, degenerate, decisions):
-    """Rows of a frame stack kept by the gating decisions, or None when
-    every row is rejected (no update is performed then)."""
+def build_stacked(state: FullState, matches, decisions, model=DIRECT):
+    """Stack residuals / Jacobians / noise for the surviving blocks.
+
+    matches is a list of (obj_index, PoseMeasurement); decisions the matching
+    list of GatingDecision. Partial verdicts raise unless model.partial_ok,
+    and so does a decision that keeps a degenerate rotation residual.
+    Returns None when every row is rejected.
+    """
+    if not matches:
+        raise ValueError("build_stacked requires at least one match")
+    if not model.partial_ok and any(
+            d.keeps_position() != d.keeps_rotation() for d in decisions):
+        raise ValueError(
+            "partial rejection is not supported by this measurement model")
+    stacked, degenerate = stack_frame(state, matches, model)
     for bad, decision in zip(degenerate, decisions):
         if bad and decision.keeps_rotation():
             raise DegenerateRotationError(
@@ -214,17 +260,6 @@ def select_rows(stacked: StackedUpdate, degenerate, decisions):
     if keep.size == 0:
         return None
     return stacked.rows(keep)
-
-
-def build_stacked(state: FullState, matches, decisions):
-    """Stack residuals / Jacobians / noise for the surviving blocks.
-
-    matches is a list of (obj_index, PoseMeasurement); decisions the matching
-    list of GatingDecision. Returns None when every row is rejected.
-    """
-    if not matches:
-        raise ValueError("build_stacked requires at least one match")
-    return select_rows(*stack_frame(state, matches), decisions)
 
 
 def innovation(cov: np.ndarray, stacked: StackedUpdate):

@@ -11,20 +11,14 @@ blocks are coupled by the inversion.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
 from . import state as st
-from .gating import GatingDecision, Verdict
+from . import update_direct as ud
 from .geom3 import quat_conj, quat_mul, rot_of, skew
-from .state import FullState
-from .update_direct import (
-    PoseMeasurement,
-    StackedUpdate,
-    fill_rotation_residual,
-    select_rows,
-    small_angle_residual,
-)
+from .update_direct import PoseMeasurement, small_angle_residual
 
 
 @dataclass
@@ -73,6 +67,11 @@ def residual_rotation(core, extr, obj, inv: InvertedMeasurement) -> np.ndarray:
     return small_angle_residual(q_oc, inv.q_oc)
 
 
+def _observe(meas: PoseMeasurement):
+    inv = invert_measurement(meas)
+    return inv.p_oc, inv.q_oc, inv.cov_p, inv.cov_theta
+
+
 def _frame_terms(core, extr):
     """Products of the frame's rotations that the rows of every object
     share, evaluated once per frame."""
@@ -81,10 +80,10 @@ def _frame_terms(core, extr):
             skew(extr.p_ic), -rot_ic.T @ rot_wi.T)
 
 
-def _object_rows(h, terms, obj, i) -> np.ndarray:
+def _object_rows(h, terms, core, extr, obj, i):
     """Write the Jacobian rows [position; rotation] of object i into h
-    (6 x error_dim) and return the predicted camera position in the object
-    frame."""
+    (6 x error_dim) and return the predicted camera pose in the object
+    frame (p_oc, q_oc)."""
     rot_wi, ric_t, p_wc, skew_p_ic, c = terms
     rot_wo = rot_of(obj.q_wo)
     rwo_t = rot_wo.T
@@ -97,61 +96,25 @@ def _object_rows(h, terms, obj, i) -> np.ndarray:
     h[3:, st.ATT] = ric_t
     h[3:, st.ATT_IC] = np.eye(3)
     h[3:, st.obj_att_slice(i)] = c @ rot_wo
-    return p_oc
+    return p_oc, quat_mul(quat_mul(quat_conj(obj.q_wo), core.q_wi),
+                          extr.q_ic)
 
 
-def jacobians(state: FullState, obj_index: int):
-    """Analytic Jacobians of the inverted-measurement model, derived with the
-    same right-perturbation rules as the direct filter (unmasked)."""
-    h = np.zeros((6, state.error_dim))
-    _object_rows(h, _frame_terms(state.core, state.extr),
-                 state.objects[obj_index], obj_index)
-    return h[:3], h[3:]
+# The measurement inverted into the object frame: the inversion couples the
+# blocks, so partial rejection is not available, and the noise blocks are
+# the rotated covariances of invert_measurement.
+INVERSE = ud.MeasurementModel(_observe, _frame_terms, _object_rows,
+                              partial_ok=False)
 
-
-def stack_frame(state: FullState, matches):
-    """Residuals, Jacobians and noise of every matched measurement of one
-    frame, inverted, six rows [position, rotation] per match in match order.
-
-    matches is a list of (obj_index, PoseMeasurement) as observed; each is
-    inverted here. Returns (StackedUpdate, degenerate) as the direct
-    filter's stack_frame does; the noise blocks are the rotated 3x3
-    covariances of the inverted measurements.
-    """
-    core, extr = state.core, state.extr
-    terms = _frame_terms(core, extr)
-    n = len(matches)
-    h = np.zeros((n, 6, state.error_dim))
-    z = np.empty((n, 6))
-    noise = np.zeros((2 * n, 3, 2 * n, 3))
-    degenerate = []
-    for j, (i, meas) in enumerate(matches):
-        inv = invert_measurement(meas)
-        obj = state.objects[i]
-        z[j, :3] = inv.p_oc - _object_rows(h[j], terms, obj, i)
-        q_oc = quat_mul(quat_mul(quat_conj(obj.q_wo), core.q_wi), extr.q_ic)
-        degenerate.append(fill_rotation_residual(z[j, 3:], q_oc, inv.q_oc))
-        noise[2 * j, :, 2 * j] = inv.cov_p
-        noise[2 * j + 1, :, 2 * j + 1] = inv.cov_theta
-    return (StackedUpdate(z.reshape(-1), h.reshape(-1, state.error_dim),
-                          noise.reshape(6 * n, 6 * n)), degenerate)
-
-
-def build_stacked(state: FullState, matches, decisions):
-    """Stack the surviving measurements, inverted. matches is a list of
-    (obj_index, PoseMeasurement) as observed. Only full-measurement verdicts
-    are legal here; the inversion couples the blocks, so partial rejection is
-    not supported."""
-    if not matches:
-        raise ValueError("build_stacked requires at least one match")
-    if any(d.verdict in (Verdict.REJECT_POSITION, Verdict.REJECT_ROTATION)
-           for d in decisions):
-        raise ValueError(
-            "partial rejection is not supported by the inverse filter")
-    return select_rows(*stack_frame(state, matches), decisions)
+# The shared stacking, Jacobian and row-selection functions, bound to this
+# model.
+jacobians = partial(ud.jacobians, model=INVERSE)
+stack_frame = partial(ud.stack_frame, model=INVERSE)
+build_stacked = partial(ud.build_stacked, model=INVERSE)
 
 
 __all__ = [
+    "INVERSE",
     "InvertedMeasurement",
     "invert_measurement",
     "residual_position",
@@ -159,5 +122,4 @@ __all__ = [
     "jacobians",
     "stack_frame",
     "build_stacked",
-    "GatingDecision",
 ]

@@ -1,12 +1,24 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hs
 
-from orekf.cli import child_seed, cmd_run, cmd_sweep, execute_run, main
+from orekf.cli import (
+    build_parser,
+    child_seed,
+    cmd_run,
+    cmd_sweep,
+    execute_run,
+    main,
+)
 from orekf.config import ConfigError, RunConfig, parse_config, write_config
+from orekf.gating import METHODS
 from orekf.metrics import rmse_position
-from orekf.presets import get_preset
+from orekf.presets import PRESETS, get_preset
 from orekf.replay import ReplayLogError, read_log, write_log
-from orekf.runner import run_filter
+from orekf.runner import MODELS, run_filter
+from orekf.sim import SIGMA_MODES
+from tests.test_runner import SETUPS
 
 
 BASE_CONFIG = """\
@@ -28,7 +40,41 @@ def write(tmp_path, text, name="cfg.txt"):
     return path
 
 
+positive = hs.floats(1e-6, 1e3, allow_subnormal=False)
+triples = hs.tuples(positive, positive, positive)
+
+
+@hs.composite
+def configs(draw):
+    ftype, method = draw(hs.sampled_from(SETUPS))
+    episodes = draw(hs.none() | hs.lists(triples, max_size=3))
+    return RunConfig(
+        preset=draw(hs.sampled_from(sorted(PRESETS))),
+        duration=draw(positive),
+        seed=draw(hs.integers(0, 2**32 - 1)),
+        filter=ftype,
+        gating=method,
+        sigma_mode=draw(hs.sampled_from(SIGMA_MODES)),
+        sigma_p=draw(triples),
+        sigma_theta=draw(triples),
+        cam_rate=draw(hs.sampled_from([1.0, 10.0, 20.0, 40.0, 200.0])),
+        chi2_alpha=draw(hs.floats(1e-6, 0.999, allow_subnormal=False)),
+        match_gate=draw(hs.none() | positive),
+        runs_per_cell=draw(hs.integers(1, 1000)),
+        sweep_sigma_p=tuple(draw(hs.lists(positive, min_size=1,
+                                          max_size=5))),
+        episodes=None if episodes is None
+        else tuple(v for triple in episodes for v in triple))
+
+
 class TestConfigParsing:
+    @settings(max_examples=60, deadline=None)
+    @given(configs())
+    def test_write_parse_round_trip(self, tmp_path_factory, cfg):
+        path = tmp_path_factory.mktemp("cfg") / "cfg.txt"
+        write_config(path, cfg.validate())
+        assert parse_config(path) == cfg
+
     def test_roundtrip(self, tmp_path):
         cfg = parse_config(write(tmp_path, BASE_CONFIG))
         assert cfg.preset == "preset01"
@@ -60,6 +106,16 @@ class TestConfigParsing:
     def test_bad_value_with_line_number(self, tmp_path):
         text = "config_version = 1\npreset = preset01\nseed = abc\n"
         with pytest.raises(ConfigError, match="line 3"):
+            parse_config(write(tmp_path, text))
+
+    def test_short_episode_list_with_line_number(self, tmp_path):
+        text = BASE_CONFIG + "episodes = 1, 2\n"
+        with pytest.raises(ConfigError, match="line 10.*episodes"):
+            parse_config(write(tmp_path, text))
+
+    def test_repeated_key_with_line_number(self, tmp_path):
+        text = BASE_CONFIG + "seed = 4\n"
+        with pytest.raises(ConfigError, match="line 10.*'seed'"):
             parse_config(write(tmp_path, text))
 
     def test_inconsistent_filter_gating(self, tmp_path):
@@ -108,6 +164,13 @@ class TestRunCommand:
         assert main(["run", "--config", str(bad),
                      "--out", str(tmp_path / "x")]) == 2
         assert "bogus" in capsys.readouterr().err
+
+    def test_camera_rate_not_dividing_imu_rate(self, tmp_path, capsys):
+        bad = write(tmp_path, BASE_CONFIG + "cam_rate = 7\n", "bad.txt")
+        assert main(["run", "--config", str(bad),
+                     "--out", str(tmp_path / "x")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "camera rate" in err
 
     def test_missing_config_file(self, tmp_path):
         assert main(["run", "--config", str(tmp_path / "nope.txt"),
@@ -224,3 +287,15 @@ class TestSweep:
         cfg = parse_config(write(tmp_path, BASE_CONFIG))
         assert len(cfg.sweep_sigma_p) == 5
         assert len(cfg.sweep_sigma_theta) == 4
+
+
+def test_parser_choices_come_from_their_owners():
+    sub = next(a for a in build_parser()._actions if a.dest == "command")
+    for name, cmd in sub.choices.items():
+        choices = {a.dest: tuple(a.choices) for a in cmd._actions
+                   if a.choices is not None}
+        assert choices["filter"] == tuple(MODELS)
+        assert choices["gating"] == METHODS
+        if name != "replay":
+            assert choices["sigma_mode"] == SIGMA_MODES
+

@@ -1,12 +1,86 @@
+from dataclasses import dataclass
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from orekf.geom3 import QUAT_IDENTITY, exp_so3, log_so3, quat_mul, quat_of, rot_of
-from orekf.propagation import ImuNoise, ImuSample, propagate, propagate_batch
+from orekf import state as st
+from orekf.geom3 import (
+    QUAT_IDENTITY,
+    exp_so3,
+    log_so3,
+    quat_exp,
+    quat_mul,
+    quat_of,
+    rot_of,
+    skew,
+)
+from orekf.propagation import MAX_DT, ImuNoise, propagate_batch
 from orekf.state import CoreState, Extrinsics, FullState, ObjectState
 
 G = np.array([0.0, 0.0, 9.81])
+
+
+@dataclass
+class ImuSample:
+    """One IMU reading, the input of the single-step reference below."""
+
+    t: float
+    acc: np.ndarray
+    gyro: np.ndarray
+
+
+def propagate(state: FullState, cov: np.ndarray, sample: ImuSample,
+              dt: float, noise: ImuNoise):
+    """One strapdown step from the bias-corrected sample over dt.
+
+    The nominal state integrates at second order (midpoint attitude for the
+    velocity increment, trapezoid for position, exact exponential on the
+    attitude); the covariance uses the first-order discretized error-state
+    transition. Object and extrinsic blocks are static with zero process
+    noise. The sample is treated as the rates over the interval, so feed
+    midpoint-representative values for best accuracy. This single-step form
+    is the reference that propagate_batch must match.
+    """
+    if not 0.0 < dt <= MAX_DT:
+        raise ValueError(f"dt={dt} outside (0, {MAX_DT}]")
+    core = state.core
+    w = sample.gyro - core.bias_gyro
+    a_body = sample.acc - core.bias_accel
+
+    rot0 = rot_of(core.q_wi)
+    rot_mid = rot0 @ rot_of(quat_exp(w * (0.5 * dt)))
+    a_world = rot_mid @ a_body - noise.gravity
+
+    v_new = core.v_wi + a_world * dt
+    p_new = core.p_wi + 0.5 * (core.v_wi + v_new) * dt
+    q_new = quat_mul(core.q_wi, quat_exp(w * dt))
+
+    new_core = CoreState(p_new, v_new, q_new, core.bias_gyro.copy(),
+                         core.bias_accel.copy())
+    new_state = FullState(new_core, state.extr.copy(),
+                          [o.copy() for o in state.objects])
+
+    # first-order discrete transition of the 15-dim core error block
+    f = np.eye(st.CORE_DIM)
+    f[st.POS, st.VEL] = dt * np.eye(3)
+    f[st.VEL, st.ATT] = -rot0 @ skew(a_body) * dt
+    f[st.VEL, st.BA] = -rot0 * dt
+    f[st.ATT, st.ATT] = np.eye(3) - skew(w) * dt
+    f[st.ATT, st.BG] = -np.eye(3) * dt
+
+    q_d = np.zeros(st.CORE_DIM)
+    q_d[st.VEL] = noise.sigma_acc**2 * dt
+    q_d[st.ATT] = noise.sigma_gyro**2 * dt
+    q_d[st.BG] = noise.sigma_gyro_bias**2 * dt
+    q_d[st.BA] = noise.sigma_accel_bias**2 * dt
+
+    new_cov = np.empty_like(cov)
+    new_cov[: st.CORE_DIM, :] = f @ cov[: st.CORE_DIM, :]
+    new_cov[st.CORE_DIM:, :] = cov[st.CORE_DIM:, :]
+    new_cov[:, : st.CORE_DIM] = new_cov[:, : st.CORE_DIM] @ f.T
+    new_cov[np.arange(st.CORE_DIM), np.arange(st.CORE_DIM)] += q_d
+    return new_state, st.symmetrize(new_cov)
 
 
 def rest_state():

@@ -1,12 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hs
 from numpy.testing import assert_allclose
 
-from orekf.gating import GatingConfig
+from orekf.gating import METHODS, PARTIAL_METHODS, GatingConfig
 from orekf.geom3 import Pose, QUAT_IDENTITY, exp_so3, quat_mul, quat_of
 from orekf.matching import MatchConfig
 from orekf.propagation import ImuNoise
-from orekf.runner import FilterSetup, run_filter
+from orekf.runner import MODELS, FilterSetup, run_filter
 from orekf.sim import MeasurementStream, SensorSpec, TrajectorySpec, \
     WorldObject, WorldSpec, camera_forward_extrinsics, gen_imu, \
     gen_measurements
@@ -22,6 +24,12 @@ def default_setup(**kw):
 def empty_ticks(meas: MeasurementStream) -> MeasurementStream:
     return MeasurementStream(meas.t, [[] for _ in meas.ticks],
                              meas.truth_pos, meas.truth_vel, meas.truth_quat)
+
+
+# every (filter, gating method) pair that FilterSetup accepts
+SETUPS = [(ftype, method) for ftype, model in MODELS.items()
+          for method in METHODS
+          if model.partial_ok or method not in PARTIAL_METHODS]
 
 
 class TestDeadReckoning:
@@ -118,6 +126,57 @@ class TestClosedLoop:
                                 seed=6)
         with pytest.raises(ValueError):
             run_filter(imu, meas, default_setup(imu_noise=noise))
+
+
+class TestEdgeCases:
+    def test_stream_without_camera_ticks_is_rejected(self):
+        traj = lively_traj(1.0)
+        imu = gen_imu(traj, ImuNoise(), 200.0, seed=8)
+        empty = MeasurementStream(np.zeros(0), [], np.zeros((0, 3)),
+                                  np.zeros((0, 3)), np.zeros((0, 4)))
+        with pytest.raises(ValueError, match="empty"):
+            run_filter(imu, empty, default_setup())
+
+    @settings(max_examples=10, deadline=None)
+    @given(hs.integers(0, 2**32 - 1), hs.sampled_from([0.05, 0.4, 1.0]))
+    def test_all_empty_frames_dead_reckon_alike_in_every_setup(self, seed,
+                                                               duration):
+        traj = lively_traj(duration)
+        noise = ImuNoise()
+        imu = gen_imu(traj, noise, 200.0, seed)
+        meas = empty_ticks(gen_measurements(traj, single_object_world(),
+                                            SensorSpec(), seed))
+        recs = [run_filter(imu, meas, default_setup(
+                    imu_noise=noise, filter_type=ftype,
+                    gating=GatingConfig(method=method)))
+                for ftype, method in SETUPS]
+        for rec in recs:
+            assert rec.n_ticks == len(meas.t)
+            assert not any(rec.counts.values())
+            assert np.array_equal(rec.p_est, recs[0].p_est)
+            assert np.array_equal(rec.q_est, recs[0].q_est)
+            assert np.array_equal(rec.cov_pos, recs[0].cov_pos)
+        assert np.all(np.linalg.eigvalsh(recs[0].cov_pos)[:, 0] > 0)
+
+    @settings(max_examples=20, deadline=None)
+    @given(hs.integers(0, 2**32 - 1), hs.sampled_from(SETUPS),
+           hs.sampled_from([(1.5, 0.0, 0.0), (-1.5, 0.0, 0.0)]))
+    def test_single_tick_keeps_the_initial_estimate(self, seed, setup,
+                                                    object_position):
+        traj = lively_traj(0.0)
+        imu = gen_imu(traj, ImuNoise(), 200.0, seed)
+        meas = gen_measurements(traj, single_object_world(object_position),
+                                SensorSpec(), seed)
+        assert len(meas.t) == 1
+        ftype, method = setup
+        rec = run_filter(imu, meas, default_setup(
+            filter_type=ftype, gating=GatingConfig(method=method)))
+        assert rec.n_ticks == 1 and not rec.diverged
+        assert np.array_equal(rec.p_est[0], meas.truth_pos[0])
+        assert np.array_equal(rec.q_est[0], meas.truth_quat[0])
+        counts = dict(rec.counts)
+        assert counts.pop("initialized") == len(meas.ticks[0])
+        assert not any(counts.values())
 
 
 class TestSetupValidation:

@@ -5,6 +5,7 @@ from scipy.stats import kstest, maxwell
 
 from orekf.gating import GatingConfig, Verdict, aorp
 from orekf.geom3 import Pose, QUAT_IDENTITY, log_so3, rot_of
+from orekf.presets import PRESETS
 from orekf.propagation import ImuNoise
 from orekf.sim import (
     SensorSpec,
@@ -134,6 +135,19 @@ class TestVisibility:
 
 
 class TestGenMeasurements:
+    @pytest.mark.parametrize("preset", sorted(PRESETS))
+    def test_frames_hold_exactly_the_visible_objects(self, preset):
+        scenario = PRESETS[preset]
+        sensor = SensorSpec(fov_deg=70.0, max_range=4.0)
+        stream = gen_measurements(scenario.trajectory, scenario.world,
+                                  sensor, seed=0)
+        classes = {o.obj_id: o.obj_class for o in scenario.world.objects}
+        for tk, frame in zip(stream.t, stream.ticks):
+            ids = visibility(scenario.trajectory, scenario.world, tk,
+                             sensor.fov_deg, sensor.max_range)
+            assert [m.object_class for m in frame] \
+                == [classes[i] for i in ids]
+
     def test_zero_sigma_gives_exact_relative_pose(self):
         traj = lively_traj(2.0)
         world = single_object_world()

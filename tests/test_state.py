@@ -169,12 +169,3 @@ class TestAnchorMask:
     def test_no_objects_raises(self):
         with pytest.raises(ValueError):
             anchor_mask(identity_state())
-
-
-def test_snapshot_record_is_flat():
-    s = identity_state(1)
-    rec = s.to_record(1.5, np.eye(27))
-    assert rec["t"] == 1.5
-    assert rec["p_wi_0"] == 0.0
-    assert rec["obj0_p_0"] == 2.0 or rec["obj0_p_0"] == 1.0
-    assert rec["P_26"] == 1.0
