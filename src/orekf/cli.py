@@ -55,6 +55,11 @@ def _record_metrics(record) -> dict:
     }
 
 
+def _metric_cells(met: dict) -> list:
+    """The values of a _record_metrics dict as CSV cells, in key order."""
+    return [_f(v) if isinstance(v, float) else str(v) for v in met.values()]
+
+
 def write_run_csv(path, record):
     cols = (["t"] + [f"p_true_{a}" for a in "xyz"]
             + [f"q_true_{a}" for a in "xyzw"]
@@ -75,8 +80,7 @@ def write_summary_csv(path, cfg: RunConfig, seed: int, record):
     cols = (["preset", "filter", "gating", "sigma_mode", "seed"]
             + list(met.keys()) + sorted(record.counts.keys()))
     vals = ([cfg.preset, cfg.filter, cfg.gating, cfg.sigma_mode, str(seed)]
-            + [_f(v) if isinstance(v, float) else str(v)
-               for v in met.values()]
+            + _metric_cells(met)
             + [str(record.counts[k]) for k in sorted(record.counts)])
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(",".join(cols) + "\n")
@@ -149,21 +153,15 @@ def sweep_stats(cfg: RunConfig, results):
 def write_sweep_outputs(out_dir: Path, cfg: RunConfig, results):
     out_dir.mkdir(parents=True, exist_ok=True)
     with open(out_dir / "sweep_cells.csv", "w", encoding="utf-8") as fh:
-        fh.write("sigma_p,sigma_theta,run,seed,diverged,n_ticks,"
-                 "rmse_position_m,rmse_orientation_deg,max_position_error_m,"
-                 "anees_position,anees_orientation\n")
+        fh.write(",".join(["sigma_p", "sigma_theta", "run", "seed"]
+                          + list(results[(0, 0, 0)][1])) + "\n")
         for i in range(len(cfg.sweep_sigma_p)):
             for j in range(len(cfg.sweep_sigma_theta)):
                 for k in range(cfg.runs_per_cell):
                     seed, met = results[(i, j, k)]
                     fh.write(",".join(
                         [_f(cfg.sweep_sigma_p[i]), _f(cfg.sweep_sigma_theta[j]),
-                         str(k), str(seed), str(met["diverged"]),
-                         str(met["n_ticks"])]
-                        + [_f(met[c]) for c in
-                           ("rmse_position_m", "rmse_orientation_deg",
-                            "max_position_error_m", "anees_position",
-                            "anees_orientation")]) + "\n")
+                         str(k), str(seed)] + _metric_cells(met)) + "\n")
 
     mean, std, diverged = sweep_stats(cfg, results)
     theta_deg = [np.degrees(t) for t in cfg.sweep_sigma_theta]

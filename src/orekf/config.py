@@ -121,11 +121,15 @@ class RunConfig:
         """Check the config by building what a run builds from it; the
         filter, gating method and sigma mode are checked by their owners
         (runner.MODELS, gating.METHODS, sim.SIGMA_MODES)."""
+        # before any ConfigError: parse_config's line search relies on it
+        self.scenario()  # raises KeyError on unknown preset
         if self.duration <= 0:
             raise ConfigError("duration must be positive")
         if self.runs_per_cell < 1:
             raise ConfigError("runs_per_cell must be >= 1")
-        self.scenario()  # raises on unknown preset
+        if not (self.sweep_sigma_p and self.sweep_sigma_theta):
+            raise ConfigError("the sweep grid needs at least one sigma_p and "
+                              "one sigma_theta")
         try:
             self.filter_setup()
             self.sensor_spec()
@@ -170,7 +174,9 @@ def _parse_value(key: str, raw: str, line_no: int):
 def parse_config(path) -> RunConfig:
     """Parse a config file; unknown or repeated keys, bad values, or a
     missing/mismatched config_version are reported with the offending line
-    and field name."""
+    and field name. A config that fails validate() is reported with the
+    line that completed the failure, such as the second of two conflicting
+    fields."""
     known = {f.name for f in fields(RunConfig)}
     values = {}
     seen = {}
@@ -205,7 +211,24 @@ def parse_config(path) -> RunConfig:
                           f"(expected {SCHEMA_VERSION})")
     if "preset" not in values:
         raise ConfigError("missing required field 'preset'")
-    return RunConfig(**values).validate()
+    keys = list(values)
+    message = _validation_error(values)
+    if message is None:
+        return RunConfig(**values)
+    # the line that completed the failure: the fields given before it, the
+    # rest at their defaults, do not fail this way
+    while _validation_error({k: values[k] for k in keys[:-1]}) == message:
+        keys.pop()
+    raise ConfigError(f"line {seen[keys[-1]]}: {message}")
+
+
+def _validation_error(values: dict):
+    """The message validate() raises for a config of these fields, if any."""
+    try:
+        RunConfig(**values).validate()
+    except ConfigError as exc:
+        return str(exc)
+    return None
 
 
 def write_config(path, cfg: RunConfig):

@@ -41,17 +41,29 @@ def skew(v: np.ndarray) -> np.ndarray:
     return out
 
 
+def exp_so3_batch(rotvecs: np.ndarray) -> np.ndarray:
+    """Rodrigues formula over the leading axes of (..., 3) rotation vectors."""
+    angle = np.linalg.norm(rotvecs, axis=-1)
+    small = angle < SMALL_ANGLE
+    safe = np.where(small, 1.0, angle)
+    s = np.where(small, 1.0, np.sin(safe) / safe)
+    c = np.where(small, 0.5, (1.0 - np.cos(safe)) / (safe * safe))
+    k = np.zeros(rotvecs.shape + (3,))
+    x, y, z = rotvecs[..., 0], rotvecs[..., 1], rotvecs[..., 2]
+    k[..., 0, 1] = -z
+    k[..., 0, 2] = y
+    k[..., 1, 0] = z
+    k[..., 1, 2] = -x
+    k[..., 2, 0] = -y
+    k[..., 2, 1] = x
+    kk = k @ k
+    return (np.eye(3) + s[..., None, None] * k
+            + c[..., None, None] * kk)
+
+
 def exp_so3(theta_vec: np.ndarray) -> np.ndarray:
     """Rotation matrix from a rotation vector (Rodrigues formula)."""
-    x, y, z = _floats(theta_vec)
-    angle = math.sqrt(x * x + y * y + z * z)
-    k = skew((x, y, z))
-    if angle < SMALL_ANGLE:
-        # second-order series, relative error below ~1e-12 at the threshold
-        return _I3 + k + 0.5 * (k @ k)
-    s = math.sin(angle) / angle
-    c = (1.0 - math.cos(angle)) / (angle * angle)
-    return _I3 + s * k + c * (k @ k)
+    return exp_so3_batch(np.asarray(theta_vec, dtype=float)[None])[0]
 
 
 def log_so3(rot: np.ndarray) -> np.ndarray:
@@ -208,6 +220,40 @@ def rot_of_batch(q: np.ndarray) -> np.ndarray:
     return out
 
 
+def quat_of_batch(rots: np.ndarray) -> np.ndarray:
+    """Scalar-last quaternions of a stack of rotation matrices, qw >= 0.
+
+    Branch-free Shepperd: evaluate all four candidate formulations and keep
+    the best-conditioned one per element.
+    """
+    r = rots
+    t = np.einsum("...ii->...", r)
+    cand = np.empty(r.shape[:-2] + (4, 4))
+    # candidate 0: trace
+    cand[..., 0, 3] = 1.0 + t
+    cand[..., 0, 0] = r[..., 2, 1] - r[..., 1, 2]
+    cand[..., 0, 1] = r[..., 0, 2] - r[..., 2, 0]
+    cand[..., 0, 2] = r[..., 1, 0] - r[..., 0, 1]
+    # candidates 1..3: dominant diagonal element a
+    for a in range(3):
+        b, c = (a + 1) % 3, (a + 2) % 3
+        cand[..., 1 + a, a] = 1.0 + r[..., a, a] - r[..., b, b] - r[..., c, c]
+        cand[..., 1 + a, b] = r[..., b, a] + r[..., a, b]
+        cand[..., 1 + a, c] = r[..., c, a] + r[..., a, c]
+        cand[..., 1 + a, 3] = r[..., c, b] - r[..., b, c]
+    scores = np.stack([1.0 + t, 1.0 + r[..., 0, 0] - r[..., 1, 1] - r[..., 2, 2],
+                       1.0 + r[..., 1, 1] - r[..., 0, 0] - r[..., 2, 2],
+                       1.0 + r[..., 2, 2] - r[..., 0, 0] - r[..., 1, 1]],
+                      axis=-1)
+    best = np.argmax(scores, axis=-1)
+    q = np.take_along_axis(cand, best[..., None, None].repeat(4, axis=-1),
+                           axis=-2)[..., 0, :]
+    q = q / np.linalg.norm(q, axis=-1, keepdims=True)
+    flip = q[..., 3] < 0
+    q[flip] = -q[flip]
+    return q
+
+
 def quat_of(rot: np.ndarray) -> np.ndarray:
     """Unit quaternion of a rotation matrix (Shepperd's method).
 
@@ -218,30 +264,7 @@ def quat_of(rot: np.ndarray) -> np.ndarray:
         raise ValueError("rotation matrix must be 3x3")
     if not np.allclose(rot.T @ rot, _I3, atol=1e-6) or np.linalg.det(rot) < 0.0:
         raise ValueError("matrix is not a rotation (orthonormality check failed)")
-    trace = float(np.trace(rot))
-    candidates = [trace, rot[0, 0], rot[1, 1], rot[2, 2]]
-    i = int(np.argmax(candidates))
-    if i == 0:
-        w = 0.5 * np.sqrt(1.0 + trace)
-        f = 0.25 / w
-        q = np.array([
-            f * (rot[2, 1] - rot[1, 2]),
-            f * (rot[0, 2] - rot[2, 0]),
-            f * (rot[1, 0] - rot[0, 1]),
-            w,
-        ])
-    else:
-        a = i - 1  # i in {1,2,3} maps to axes (0,1,2)
-        b, c = (a + 1) % 3, (a + 2) % 3
-        s = np.sqrt(1.0 + rot[a, a] - rot[b, b] - rot[c, c])
-        xyz = np.zeros(3)
-        xyz[a] = 0.5 * s
-        f = 0.25 / (0.5 * s)
-        xyz[b] = f * (rot[b, a] + rot[a, b])
-        xyz[c] = f * (rot[c, a] + rot[a, c])
-        w = f * (rot[c, b] - rot[b, c])
-        q = np.array([xyz[0], xyz[1], xyz[2], w])
-    return quat_canonical(q)
+    return quat_canonical(quat_of_batch(rot[None])[0])
 
 
 def quat_exp(theta_vec: np.ndarray) -> np.ndarray:

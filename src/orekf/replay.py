@@ -4,12 +4,16 @@ replayed run is bit-identical to the original."""
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .sim import ImuStream, MeasurementStream
 from .update_direct import PoseMeasurement
 
 FORMAT_HEADER = "replay-log 1"
+
+_FIELDS = {"IMU": 8, "TRUTH": 12, "MEAS": 16}  # fields per record kind
 
 
 def _f(x: float) -> str:
@@ -58,10 +62,13 @@ def write_log(path, imu: ImuStream, meas: MeasurementStream):
 def read_log(path):
     """Rebuild the (ImuStream, MeasurementStream) pair from a log.
 
-    Raises ReplayLogError on a version mismatch, malformed or truncated
-    lines, or non-monotone timestamps.
+    Raises ReplayLogError on a version mismatch, malformed lines or
+    non-finite numbers, a record without its newline, a TRUTH record not
+    preceded by an IMU record at its own time, IMU records past the last
+    TRUTH tick, or non-monotone timestamps.
     """
     imu_rows, truth_rows, meas_rows = [], [], []
+    imu_after_truth = None  # line of the first IMU record after the last TRUTH
     with open(path, "r", encoding="utf-8") as fh:
         header = fh.readline().rstrip("\n")
         if header != FORMAT_HEADER:
@@ -69,45 +76,50 @@ def read_log(path):
                 f"unsupported log header {header!r} (expected "
                 f"{FORMAT_HEADER!r})")
         for line_no, line in enumerate(fh, start=2):
-            line = line.rstrip("\n")
+            if not line.endswith("\n"):
+                raise ReplayLogError(f"line {line_no}: record does not end "
+                                     f"in a newline (truncated log)")
+            line = line[:-1]
             if not line:
                 continue
             parts = line.split(",")
+            kind = parts[1] if len(parts) > 1 else None
             try:
-                t = float(parts[0])
-                kind = parts[1]
-                if kind == "IMU":
-                    if len(parts) != 8:
-                        raise ValueError("IMU line needs 8 fields")
-                    imu_rows.append([t] + [float(p) for p in parts[2:]])
-                elif kind == "TRUTH":
-                    if len(parts) != 12:
-                        raise ValueError("TRUTH line needs 12 fields")
-                    truth_rows.append([t] + [float(p) for p in parts[2:]])
-                elif kind == "MEAS":
-                    if len(parts) != 16:
-                        raise ValueError("MEAS line needs 16 fields")
-                    meas_rows.append((line_no, t, parts[2],
-                                      [float(p) for p in parts[3:]]))
-                else:
-                    raise ValueError(f"unknown record kind {kind!r}")
-            except (ValueError, IndexError) as exc:
+                if len(parts) != _FIELDS.get(kind):
+                    raise ValueError(f"{len(parts)} fields in a {kind!r} "
+                                     f"record")
+                # every field is a number but the kind and a MEAS class
+                row = [float(p) for p in
+                       parts[:1] + parts[3 if kind == "MEAS" else 2:]]
+                if not all(map(math.isfinite, row)):
+                    raise ValueError("a field is not a finite number")
+            except ValueError as exc:
                 raise ReplayLogError(
                     f"line {line_no}: truncated or corrupt record "
                     f"({exc})") from None
+            if kind == "IMU":
+                imu_rows.append(row)
+                imu_after_truth = imu_after_truth or line_no
+            elif kind == "TRUTH":
+                if not imu_rows or abs(imu_rows[-1][0] - row[0]) > 1e-9:
+                    raise ReplayLogError(
+                        f"line {line_no}: TRUTH at t={row[0]} is not preceded "
+                        f"by an IMU record at its own time")
+                truth_rows.append(row)
+                imu_after_truth = None
+            else:
+                meas_rows.append((line_no, row[0], parts[2], row[1:]))
     if not imu_rows or not truth_rows:
         raise ReplayLogError("log contains no IMU or TRUTH records")
+    if imu_after_truth is not None:
+        raise ReplayLogError(f"line {imu_after_truth}: IMU records continue "
+                             f"past the last TRUTH tick (truncated log)")
 
     imu_arr = np.array(imu_rows)
     truth_arr = np.array(truth_rows)
     if np.any(np.diff(imu_arr[:, 0]) <= 0) or np.any(np.diff(truth_arr[:, 0]) <= 0):
         raise ReplayLogError("timestamps are not strictly increasing")
-    imu = ImuStream(imu_arr[:, 0], imu_arr[:, 1:4], imu_arr[:, 4:7],
-                    truth_pos=np.zeros((len(imu_rows), 3)),
-                    truth_vel=np.zeros((len(imu_rows), 3)),
-                    truth_quat=np.zeros((len(imu_rows), 4)),
-                    truth_bias_gyro=np.zeros((len(imu_rows), 3)),
-                    truth_bias_accel=np.zeros((len(imu_rows), 3)))
+    imu = ImuStream(imu_arr[:, 0], imu_arr[:, 1:4], imu_arr[:, 4:7])
     ticks = [[] for _ in range(len(truth_rows))]
     t_cam = truth_arr[:, 0]
     t_meas = np.array([t for _, t, _, _ in meas_rows])

@@ -98,11 +98,12 @@ def run_filter(imu: ImuStream, meas_stream: MeasurementStream,
                setup: FilterSetup) -> RunRecord:
     """Run the configured filter over the streams.
 
-    Camera ticks must align with IMU ticks (the camera rate divides the IMU
-    rate); between camera ticks the consecutive IMU samples are averaged
-    pairwise (trapezoidal measurement averaging) and propagated in one
-    batch. The run stops early and is marked diverged when the position
-    error exceeds the divergence bound.
+    The IMU samples must be evenly spaced and camera tick k must fall on
+    IMU sample k * (IMU intervals per camera interval), to 1e-9 s, or
+    ValueError. Between camera ticks the consecutive IMU samples are
+    averaged pairwise (trapezoidal measurement averaging) and propagated in
+    one batch. The run stops early and is marked diverged when the
+    position error exceeds the divergence bound.
     """
     if len(meas_stream.t) == 0:
         raise ValueError("the measurement stream is empty: it has no camera "
@@ -111,14 +112,17 @@ def run_filter(imu: ImuStream, meas_stream: MeasurementStream,
         raise ValueError("timestamps must be strictly increasing")
     n_imu = len(imu.t) - 1
     n_cam = len(meas_stream.t) - 1
-    if n_cam > 0:
-        ratio = n_imu / n_cam
-        if abs(ratio - round(ratio)) > 1e-9:
-            raise ValueError("camera ticks must align with IMU ticks")
-        ratio = int(round(ratio))
-    else:
-        ratio = n_imu
+    if n_cam and n_imu % n_cam:
+        raise ValueError("camera ticks must align with IMU ticks")
+    ratio = n_imu // n_cam if n_cam else n_imu
     dt = float(imu.t[1] - imu.t[0]) if n_imu else 0.0
+    if np.any(np.abs(np.diff(imu.t) - dt) > 1e-9):
+        raise ValueError("IMU samples must be evenly spaced")
+    off = np.abs(imu.t[np.arange(n_cam + 1) * ratio] - meas_stream.t) > 1e-9
+    if off.any():
+        k = int(off.argmax())
+        raise ValueError(f"camera tick {k} at t={meas_stream.t[k]:.9g} s "
+                         f"does not fall on IMU sample {k * ratio}")
 
     state, cov = _initial_state(meas_stream, setup)
     next_obj_id = 0

@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geom3 import Pose, quat_of, rot_of
+from .geom3 import Pose, exp_so3_batch, quat_of, quat_of_batch, rot_of
 from .propagation import ImuNoise
 from .state import Extrinsics
 from .update_direct import PoseMeasurement
@@ -61,7 +61,6 @@ class TrajectorySpec:
     eul_amp: np.ndarray = field(default_factory=lambda: np.zeros(3))
     eul_freq: np.ndarray = field(default_factory=lambda: np.full(3, 0.1))
     eul_phase: np.ndarray = field(default_factory=lambda: np.zeros(3))
-    seed: int = 0
 
     def __post_init__(self):
         for name in ("pos_offset", "pos_amp", "pos_freq", "pos_phase",
@@ -224,11 +223,6 @@ class ImuStream:
     t: np.ndarray
     acc: np.ndarray
     gyro: np.ndarray
-    truth_pos: np.ndarray
-    truth_vel: np.ndarray
-    truth_quat: np.ndarray
-    truth_bias_gyro: np.ndarray
-    truth_bias_accel: np.ndarray
 
 
 @dataclass
@@ -243,60 +237,6 @@ class MeasurementStream:
 def _rng(seed: int, stream: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(
         np.random.SeedSequence(seed, spawn_key=(stream,))))
-
-
-def _exp_so3_batch(rotvecs: np.ndarray) -> np.ndarray:
-    """Rodrigues formula over the leading axes of (..., 3) rotation vectors."""
-    angle = np.linalg.norm(rotvecs, axis=-1)
-    small = angle < 1e-7
-    safe = np.where(small, 1.0, angle)
-    s = np.where(small, 1.0, np.sin(safe) / safe)
-    c = np.where(small, 0.5, (1.0 - np.cos(safe)) / (safe * safe))
-    k = np.zeros(rotvecs.shape + (3,))
-    x, y, z = rotvecs[..., 0], rotvecs[..., 1], rotvecs[..., 2]
-    k[..., 0, 1] = -z
-    k[..., 0, 2] = y
-    k[..., 1, 0] = z
-    k[..., 1, 2] = -x
-    k[..., 2, 0] = -y
-    k[..., 2, 1] = x
-    kk = k @ k
-    return (np.eye(3) + s[..., None, None] * k
-            + c[..., None, None] * kk)
-
-
-def _quat_of_batch(rots: np.ndarray) -> np.ndarray:
-    """Scalar-last quaternions of a stack of rotation matrices, qw >= 0.
-
-    Branch-free Shepperd: evaluate all four candidate formulations and keep
-    the best-conditioned one per element.
-    """
-    r = rots
-    t = np.einsum("...ii->...", r)
-    cand = np.empty(r.shape[:-2] + (4, 4))
-    # candidate 0: trace
-    cand[..., 0, 3] = 1.0 + t
-    cand[..., 0, 0] = r[..., 2, 1] - r[..., 1, 2]
-    cand[..., 0, 1] = r[..., 0, 2] - r[..., 2, 0]
-    cand[..., 0, 2] = r[..., 1, 0] - r[..., 0, 1]
-    # candidates 1..3: dominant diagonal element a
-    for a in range(3):
-        b, c = (a + 1) % 3, (a + 2) % 3
-        cand[..., 1 + a, a] = 1.0 + r[..., a, a] - r[..., b, b] - r[..., c, c]
-        cand[..., 1 + a, b] = r[..., b, a] + r[..., a, b]
-        cand[..., 1 + a, c] = r[..., c, a] + r[..., a, c]
-        cand[..., 1 + a, 3] = r[..., c, b] - r[..., b, c]
-    scores = np.stack([1.0 + t, 1.0 + r[..., 0, 0] - r[..., 1, 1] - r[..., 2, 2],
-                       1.0 + r[..., 1, 1] - r[..., 0, 0] - r[..., 2, 2],
-                       1.0 + r[..., 2, 2] - r[..., 0, 0] - r[..., 1, 1]],
-                      axis=-1)
-    best = np.argmax(scores, axis=-1)
-    q = np.take_along_axis(cand, best[..., None, None].repeat(4, axis=-1),
-                           axis=-2)[..., 0, :]
-    q = q / np.linalg.norm(q, axis=-1, keepdims=True)
-    flip = q[..., 3] < 0
-    q[flip] = -q[flip]
-    return q
 
 
 def gen_imu(traj: TrajectorySpec, noise: ImuNoise, rate: float,
@@ -328,8 +268,7 @@ def gen_imu(traj: TrajectorySpec, noise: ImuNoise, rate: float,
     acc = specific + bias_accel + white_acc * (noise.sigma_acc / np.sqrt(dt))
     gyro = (traj.omega_body(t) + bias_gyro
             + white_gyro * (noise.sigma_gyro / np.sqrt(dt)))
-    return ImuStream(t, acc, gyro, traj.position(t), traj.velocity(t),
-                     traj.quaternion(t), bias_gyro, bias_accel)
+    return ImuStream(t, acc, gyro)
 
 
 def _relative_poses(traj: TrajectorySpec, world: WorldSpec,
@@ -396,9 +335,9 @@ def gen_measurements(traj: TrajectorySpec, world: WorldSpec,
     inflations = np.array([sensor.rotation_inflation(tk) for tk in t])
     sig_theta_true = sensor.sigma_theta * inflations[:, 0:1]  # (K, 3)
     p_meas_all = p_co + noise_p * sensor.sigma_p
-    rot_meas_all = rot_co @ _exp_so3_batch(
+    rot_meas_all = rot_co @ exp_so3_batch(
         noise_r * sig_theta_true[:, None, :])
-    q_meas_all = _quat_of_batch(rot_meas_all)
+    q_meas_all = quat_of_batch(rot_meas_all)
 
     ticks = []
     for k in range(n_ticks + 1):

@@ -118,6 +118,24 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match="line 10.*'seed'"):
             parse_config(write(tmp_path, text))
 
+    @pytest.mark.parametrize("body, message", [
+        ("filter = ukf\nseed = 2\n", "line 3: unknown filter type 'ukf'"),
+        ("sigma_mode = bogus\nseed = 2\n",
+         "line 3: unknown sigma mode 'bogus'"),
+        ("duration = -1\nseed = 2\n", "line 3: duration must be positive"),
+        ("sweep_sigma_p =\nseed = 2\n", "line 3: the sweep grid needs"),
+        # a conflict is complete only at the later of its two lines
+        ("filter = inverse\nseed = 2\ngating = chi2p\nduration = 1\n",
+         "line 5: the inverse filter"),
+        ("gating = chi2p\nseed = 2\nfilter = inverse\nduration = 1\n",
+         "line 5: the inverse filter"),
+    ], ids=["filter", "sigma_mode", "duration", "empty_sweep_grid",
+            "gating_completes_conflict", "filter_completes_conflict"])
+    def test_invalid_value_names_its_line(self, tmp_path, body, message):
+        text = "config_version = 1\npreset = preset01\n" + body
+        with pytest.raises(ConfigError, match="^" + message):
+            parse_config(write(tmp_path, text))
+
     def test_inconsistent_filter_gating(self, tmp_path):
         text = BASE_CONFIG.replace("filter = direct", "filter = inverse") \
                           .replace("gating = chi2", "gating = aorp")
@@ -211,6 +229,47 @@ class TestReplay:
         (tmp_path / "trunc.log").write_text(data[: len(data) // 2])
         with pytest.raises(ReplayLogError):
             read_log(tmp_path / "trunc.log")
+
+    def test_record_cut_inside_its_last_field_raises_with_line_number(
+            self, tmp_path):
+        cfg = parse_config(write(tmp_path, BASE_CONFIG))
+        imu, meas, _ = execute_run(cfg, cfg.seed)
+        write_log(tmp_path / "r.log", imu, meas)
+        data = (tmp_path / "r.log").read_text()
+        last_line = data.count("\n")
+        (tmp_path / "cut.log").write_text(data[:-3])
+        with pytest.raises(ReplayLogError,
+                           match=f"^line {last_line}: .*newline"):
+            read_log(tmp_path / "cut.log")
+
+    def test_log_cut_between_camera_ticks_exits_2_with_line_number(
+            self, tmp_path, capsys):
+        cfg_path = write(tmp_path, BASE_CONFIG)
+        main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "a")])
+        lines = (tmp_path / "a" / "replay.log").read_text() \
+            .splitlines(keepends=True)
+        truth = [i for i, line in enumerate(lines) if ",TRUTH," in line]
+        (tmp_path / "cut.log").write_text("".join(lines[:truth[5] - 3]))
+        first_imu = next(i for i in range(truth[4], truth[5])
+                         if ",IMU," in lines[i])
+        assert main(["replay", "--config", str(cfg_path),
+                     "--log", str(tmp_path / "cut.log"),
+                     "--out", str(tmp_path / "rep")]) == 2
+        assert capsys.readouterr().err.startswith(
+            f"error: line {first_imu + 1}: IMU records continue past the "
+            f"last TRUTH tick")
+
+    def test_truth_without_imu_sample_at_its_time_raises_with_line_number(
+            self, tmp_path):
+        cfg = parse_config(write(tmp_path, BASE_CONFIG))
+        imu, meas, _ = execute_run(cfg, cfg.seed)
+        write_log(tmp_path / "r.log", imu, meas)
+        lines = (tmp_path / "r.log").read_text().splitlines(keepends=True)
+        idx = [i for i, line in enumerate(lines) if ",TRUTH," in line][5]
+        del lines[idx - 1]  # the IMU sample at the tick's own time
+        (tmp_path / "gap.log").write_text("".join(lines))
+        with pytest.raises(ReplayLogError, match=f"^line {idx}: TRUTH"):
+            read_log(tmp_path / "gap.log")
 
     def test_misaligned_measurement_raises_with_line_number(self, tmp_path):
         cfg = parse_config(write(tmp_path, BASE_CONFIG))

@@ -9,9 +9,9 @@ from orekf.geom3 import Pose, QUAT_IDENTITY, exp_so3, quat_mul, quat_of
 from orekf.matching import MatchConfig
 from orekf.propagation import ImuNoise
 from orekf.runner import MODELS, FilterSetup, run_filter
-from orekf.sim import MeasurementStream, SensorSpec, TrajectorySpec, \
-    WorldObject, WorldSpec, camera_forward_extrinsics, gen_imu, \
-    gen_measurements
+from orekf.sim import ImuStream, MeasurementStream, SensorSpec, \
+    TrajectorySpec, WorldObject, WorldSpec, camera_forward_extrinsics, \
+    gen_imu, gen_measurements
 from tests.test_sim import lively_traj, single_object_world
 
 
@@ -136,6 +136,26 @@ class TestEdgeCases:
                                   np.zeros((0, 3)), np.zeros((0, 4)))
         with pytest.raises(ValueError, match="empty"):
             run_filter(imu, empty, default_setup())
+
+    def test_imu_stream_shorter_than_camera_stream_is_rejected(self):
+        # 201 IMU samples over 1 s against 41 camera ticks over 2 s: the
+        # sample count divides, but tick k falls on IMU sample 5k at k/40 s
+        imu = gen_imu(lively_traj(1.0), ImuNoise(), 200.0, seed=8)
+        meas = gen_measurements(lively_traj(2.0), single_object_world(),
+                                SensorSpec(), seed=8)
+        with pytest.raises(ValueError, match="camera tick 1 at t=0.05 "):
+            run_filter(imu, meas, default_setup())
+
+    def test_uneven_imu_spacing_is_rejected(self):
+        traj = lively_traj(1.0)
+        imu = gen_imu(traj, ImuNoise(), 200.0, seed=8)
+        t = imu.t.copy()
+        t[3] += 1e-6
+        meas = gen_measurements(traj, single_object_world(), SensorSpec(),
+                                seed=8)
+        with pytest.raises(ValueError, match="evenly spaced"):
+            run_filter(ImuStream(t, imu.acc, imu.gyro), meas,
+                       default_setup())
 
     @settings(max_examples=10, deadline=None)
     @given(hs.integers(0, 2**32 - 1), hs.sampled_from([0.05, 0.4, 1.0]))
