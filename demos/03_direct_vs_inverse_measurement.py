@@ -13,8 +13,7 @@ from orekf.state import CoreState, Extrinsics, FullState, ObjectState
 core = CoreState(np.zeros(3), np.zeros(3), QUAT_IDENTITY.copy(),
                  np.zeros(3), np.zeros(3))
 extr = Extrinsics(np.zeros(3), QUAT_IDENTITY.copy())
-obj = ObjectState(0, "mug", np.array([2.0, 0.0, 0.0]), QUAT_IDENTITY.copy(),
-                  anchor=True)
+obj = ObjectState(0, "mug", np.array([2.0, 0.0, 0.0]), QUAT_IDENTITY.copy())
 state = FullState(core, extr, [obj])
 
 clean = ud.PoseMeasurement(0.0, "mug",

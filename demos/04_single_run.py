@@ -16,7 +16,7 @@ preset = get_preset("preset01")
 noise = ImuNoise()
 sensor = SensorSpec(sigma_p=0.02, sigma_theta=0.05, mode="exact")
 
-imu = gen_imu(preset.trajectory, noise, sensor.imu_rate, seed=42)
+imu = gen_imu(preset.trajectory, noise, 200.0, seed=42)
 meas = gen_measurements(preset.trajectory, preset.world, sensor, seed=42)
 
 setup = FilterSetup(extrinsics=camera_forward_extrinsics(), imu_noise=noise,

@@ -18,7 +18,7 @@ from .runner import FilterSetup, run_filter
 from .sim import SensorSpec, TrajectorySpec, WorldObject, WorldSpec, \
     camera_forward_extrinsics, gen_imu, gen_measurements
 from .state import CoreState, Extrinsics, FullState, ObjectState, add_object, \
-    anchor_mask, inject_error
+    inject_error
 from .update_direct import PoseMeasurement
 
 __all__ = [
@@ -30,7 +30,6 @@ __all__ = [
     "FullState",
     "ObjectState",
     "add_object",
-    "anchor_mask",
     "inject_error",
     "PoseMeasurement",
     "GatingConfig",

@@ -87,13 +87,12 @@ def write_summary_csv(path, cfg: RunConfig, seed: int, record):
         fh.write(",".join(vals) + "\n")
 
 
-def cmd_run(cfg: RunConfig, out_dir: Path, write_replay=True) -> dict:
+def cmd_run(cfg: RunConfig, out_dir: Path) -> dict:
     out_dir.mkdir(parents=True, exist_ok=True)
     imu, meas, record = execute_run(cfg, cfg.seed)
     write_run_csv(out_dir / "run.csv", record)
     write_summary_csv(out_dir / "summary.csv", cfg, cfg.seed, record)
-    if write_replay:
-        write_log(out_dir / "replay.log", imu, meas)
+    write_log(out_dir / "replay.log", imu, meas)
     return _record_metrics(record)
 
 
@@ -258,7 +257,7 @@ def main(argv=None) -> int:
             met = None
         else:
             met = cmd_replay(args.log, cfg, args.out)
-    except (ConfigError, ReplayLogError, FileNotFoundError, KeyError) as exc:
+    except (ConfigError, ReplayLogError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     if met is not None:

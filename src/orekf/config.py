@@ -79,7 +79,6 @@ class RunConfig:
 
     def sensor_spec(self, sigma_p=None, sigma_theta=None) -> SensorSpec:
         return SensorSpec(
-            imu_rate=self.imu_rate,
             cam_rate=self.cam_rate,
             sigma_p=np.asarray(sigma_p if sigma_p is not None
                                else self.sigma_p, dtype=float),
@@ -121,8 +120,10 @@ class RunConfig:
         """Check the config by building what a run builds from it; the
         filter, gating method and sigma mode are checked by their owners
         (runner.MODELS, gating.METHODS, sim.SIGMA_MODES)."""
-        # before any ConfigError: parse_config's line search relies on it
-        self.scenario()  # raises KeyError on unknown preset
+        try:
+            self.scenario()
+        except KeyError as exc:
+            raise ConfigError(exc.args[0]) from None
         if self.duration <= 0:
             raise ConfigError("duration must be positive")
         if self.runs_per_cell < 1:
@@ -130,6 +131,11 @@ class RunConfig:
         if not (self.sweep_sigma_p and self.sweep_sigma_theta):
             raise ConfigError("the sweep grid needs at least one sigma_p and "
                               "one sigma_theta")
+        if self.imu_rate <= 0 or self.cam_rate <= 0:
+            raise ConfigError("rates must be positive")
+        ratio = self.imu_rate / self.cam_rate
+        if abs(ratio - round(ratio)) > 1e-9:
+            raise ConfigError("camera rate must divide the IMU rate")
         try:
             self.filter_setup()
             self.sensor_spec()
@@ -232,7 +238,7 @@ def _validation_error(values: dict):
 
 
 def write_config(path, cfg: RunConfig):
-    """Write a config back out (used by the demos and tests)."""
+    """Write a config back out (the tests use it to make config files)."""
     lines = [f"config_version = {SCHEMA_VERSION}"]
     for f in fields(RunConfig):
         val = getattr(cfg, f.name)

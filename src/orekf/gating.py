@@ -129,25 +129,29 @@ def chi2_partial(residual_p, residual_r, jac_p, jac_r, cov, noise_p, noise_r,
                            "chi2p")[0]
 
 
-def aor(meas: PoseMeasurement, cfg: GatingConfig) -> GatingDecision:
-    """Reject the whole measurement when any reported standard deviation
-    exceeds its threshold (strict inequality: the boundary is accepted)."""
+def _threshold_test(meas: PoseMeasurement, tau_p: float, tau_theta: float,
+                    method: str) -> GatingDecision:
+    """Reject a block whose largest reported standard deviation exceeds its
+    threshold (strict inequality: the boundary is accepted); a method not in
+    PARTIAL_METHODS rejects the whole measurement instead."""
     sig_p = float(np.max(np.sqrt(meas.var_p)))
     sig_r = float(np.max(np.sqrt(meas.var_theta)))
-    stat = max(sig_p / cfg.aor_tau_p, sig_r / cfg.aor_tau_theta)
-    if sig_p > cfg.aor_tau_p or sig_r > cfg.aor_tau_theta:
-        return GatingDecision(Verdict.REJECT_ALL, stat, "aor")
-    return GatingDecision(Verdict.ACCEPT_ALL, stat, "aor")
+    reject_p, reject_r = sig_p > tau_p, sig_r > tau_theta
+    if method not in PARTIAL_METHODS:
+        reject_p = reject_r = reject_p or reject_r
+    return GatingDecision(_compose(reject_p, reject_r),
+                          max(sig_p / tau_p, sig_r / tau_theta), method)
+
+
+def aor(meas: PoseMeasurement, cfg: GatingConfig) -> GatingDecision:
+    """Reject the whole measurement when any reported standard deviation
+    exceeds its threshold."""
+    return _threshold_test(meas, cfg.aor_tau_p, cfg.aor_tau_theta, "aor")
 
 
 def aorp(meas: PoseMeasurement, cfg: GatingConfig) -> GatingDecision:
     """Per-block variant of aor: position and rotation rejected separately."""
-    sig_p = float(np.max(np.sqrt(meas.var_p)))
-    sig_r = float(np.max(np.sqrt(meas.var_theta)))
-    stat = max(sig_p / cfg.aorp_tau_p, sig_r / cfg.aorp_tau_theta)
-    return GatingDecision(
-        _compose(sig_p > cfg.aorp_tau_p, sig_r > cfg.aorp_tau_theta),
-        stat, "aorp")
+    return _threshold_test(meas, cfg.aorp_tau_p, cfg.aorp_tau_theta, "aorp")
 
 
 def _accept_all(cfg, s, residual, measurements, degenerate):

@@ -73,8 +73,8 @@ def initialize_object(state: FullState, cov: np.ndarray,
 
     The pose is the projected measurement; the covariance block comes from
     the chain rule through the current robot pose plus the reported
-    measurement covariance (see add_object). The first object becomes the
-    anchor.
+    measurement covariance (see add_object), which appends it: the first
+    object initialized is the anchor.
     """
     pose = project_measurement(state.core, state.extr, meas)
     obj = ObjectState(obj_id, meas.object_class, pose.p, pose.q)

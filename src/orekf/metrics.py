@@ -64,11 +64,12 @@ def max_position_error(run: RunRecord) -> float:
     return float(np.max(np.linalg.norm(err, axis=1)))
 
 
-def anees(run: RunRecord, block: str = "position", dof: int = 3) -> float:
-    """Mean over ticks of e^T P^-1 e / dof for the chosen 3-dim block.
+def anees(run: RunRecord, block: str = "position") -> float:
+    """Mean over ticks of e^T P^-1 e / 3 for the chosen 3-dim block.
 
     Ticks with a (near-)singular covariance block are skipped; the skip
-    count is reported through the module logger.
+    count is reported through the module logger. A block that is not
+    finite makes the result NaN.
     """
     if block == "position":
         errs, covs = run.position_errors(), run.cov_pos
@@ -76,7 +77,8 @@ def anees(run: RunRecord, block: str = "position", dof: int = 3) -> float:
         errs, covs = run.attitude_errors(), run.cov_att
     else:
         raise ValueError(f"unknown block {block!r}")
-    # a NaN block is kept, so that the mean shows it
+    if not np.isfinite(covs).all():  # np.linalg.cond raises on these
+        return float("nan")
     ok = ~(np.linalg.cond(covs) > 1e12)
     skipped = len(errs) - int(np.count_nonzero(ok))
     if skipped:
@@ -86,4 +88,4 @@ def anees(run: RunRecord, block: str = "position", dof: int = 3) -> float:
         return float("nan")
     errs = errs[ok, None, :]
     nees = (errs @ np.linalg.solve(covs[ok], np.swapaxes(errs, 1, 2)))
-    return float(np.mean(nees[:, 0, 0] / dof))
+    return float(np.mean(nees[:, 0, 0] / errs.shape[-1]))

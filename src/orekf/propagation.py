@@ -47,7 +47,8 @@ def propagate_batch(state: st.FullState, cov: np.ndarray, acc: np.ndarray,
     per-step transitions are compounded (F_tot = F_n ... F_1, noise folded
     through the later factors) and applied to the covariance once; the
     single-step reference it matches up to floating-point association is
-    kept in tests/test_propagation.py.
+    kept in tests/test_propagation.py. An infinite or NaN angular rate
+    makes the nominal state NaN.
     """
     if not 0.0 < dt <= MAX_DT:
         raise ValueError(f"dt={dt} outside (0, {MAX_DT}]")
@@ -105,6 +106,10 @@ def propagate_batch(state: st.FullState, cov: np.ndarray, acc: np.ndarray,
             mx, my, mz, mw = qx, qy, qz, qw
             ex = ey = ez = 0.0
             ew = 1.0
+        elif not ang < math.inf:
+            # no rotation to integrate: the attitude becomes NaN, which the
+            # run loop reports as divergence
+            mx = my = mz = mw = ex = ey = ez = ew = math.nan
         else:
             half_ang = 0.5 * ang * half_dt
             s = math.sin(half_ang) / ang

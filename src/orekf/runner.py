@@ -103,7 +103,8 @@ def run_filter(imu: ImuStream, meas_stream: MeasurementStream,
     ValueError. Between camera ticks the consecutive IMU samples are
     averaged pairwise (trapezoidal measurement averaging) and propagated in
     one batch. The run stops early and is marked diverged when the
-    position error exceeds the divergence bound.
+    position error exceeds the divergence bound or is not a number.
+    Objects are numbered in the order they are initialized.
     """
     if len(meas_stream.t) == 0:
         raise ValueError("the measurement stream is empty: it has no camera "
@@ -125,12 +126,10 @@ def run_filter(imu: ImuStream, meas_stream: MeasurementStream,
                          f"does not fall on IMU sample {k * ratio}")
 
     state, cov = _initial_state(meas_stream, setup)
-    next_obj_id = 0
     counts = {"accepted": 0, "rejected_all": 0, "rejected_position": 0,
               "rejected_rotation": 0, "degenerate": 0, "updates": 0,
               "skipped_updates": 0, "initialized": 0}
-    rec_t, rec_pt, rec_qt, rec_pe, rec_qe = [], [], [], [], []
-    rec_cp, rec_ca = [], []
+    rec_pe, rec_qe, rec_cp, rec_ca = [], [], [], []
     diverged = False
 
     for k in range(n_cam + 1):
@@ -149,27 +148,26 @@ def run_filter(imu: ImuStream, meas_stream: MeasurementStream,
             pairs, unmatched = match(projected, state.objects, setup.matching)
             for mi in unmatched:
                 state, cov = initialize_object(state, cov, frame[mi],
-                                               next_obj_id)
-                next_obj_id += 1
+                                               len(state.objects))
                 counts["initialized"] += 1
             if pairs:
                 state, cov = _update_frame(state, cov, frame, pairs, setup,
                                            counts)
 
-        rec_t.append(meas_stream.t[k])
-        rec_pt.append(meas_stream.truth_pos[k])
-        rec_qt.append(meas_stream.truth_quat[k])
         rec_pe.append(state.core.p_wi.copy())
         rec_qe.append(state.core.q_wi.copy())
         rec_cp.append(cov[st.POS, st.POS].copy())
         rec_ca.append(cov[st.ATT, st.ATT].copy())
 
         err = np.linalg.norm(state.core.p_wi - meas_stream.truth_pos[k])
-        if err > setup.divergence_bound:
+        if not err <= setup.divergence_bound:
             diverged = True
             log.info("diverged at t=%.2f (|e|=%.2f m)", meas_stream.t[k], err)
             break
 
-    return RunRecord(np.array(rec_t), np.array(rec_pt), np.array(rec_qt),
-                     np.array(rec_pe), np.array(rec_qe), np.array(rec_cp),
-                     np.array(rec_ca), diverged=diverged, counts=counts)
+    n = len(rec_pe)
+    return RunRecord(meas_stream.t[:n].copy(),
+                     meas_stream.truth_pos[:n].copy(),
+                     meas_stream.truth_quat[:n].copy(), np.array(rec_pe),
+                     np.array(rec_qe), np.array(rec_cp), np.array(rec_ca),
+                     diverged=diverged, counts=counts)

@@ -53,24 +53,22 @@ class TrajectorySpec:
     """
 
     duration: float = 20.0
-    pos_offset: np.ndarray = field(default_factory=lambda: np.zeros(3))
     pos_amp: np.ndarray = field(default_factory=lambda: np.zeros(3))
     pos_freq: np.ndarray = field(default_factory=lambda: np.full(3, 0.2))
     pos_phase: np.ndarray = field(default_factory=lambda: np.zeros(3))
-    eul_offset: np.ndarray = field(default_factory=lambda: np.zeros(3))
     eul_amp: np.ndarray = field(default_factory=lambda: np.zeros(3))
     eul_freq: np.ndarray = field(default_factory=lambda: np.full(3, 0.1))
     eul_phase: np.ndarray = field(default_factory=lambda: np.zeros(3))
 
     def __post_init__(self):
-        for name in ("pos_offset", "pos_amp", "pos_freq", "pos_phase",
-                     "eul_offset", "eul_amp", "eul_freq", "eul_phase"):
+        for name in ("pos_amp", "pos_freq", "pos_phase", "eul_amp",
+                     "eul_freq", "eul_phase"):
             setattr(self, name, _as3(getattr(self, name)))
 
     def position(self, t):
         t = np.asarray(t, dtype=float)[..., None]
-        return self.pos_offset + self.pos_amp * np.sin(
-            TWO_PI * self.pos_freq * t + self.pos_phase)
+        return self.pos_amp * np.sin(TWO_PI * self.pos_freq * t
+                                     + self.pos_phase)
 
     def velocity(self, t):
         t = np.asarray(t, dtype=float)[..., None]
@@ -84,8 +82,8 @@ class TrajectorySpec:
 
     def euler(self, t):
         t = np.asarray(t, dtype=float)[..., None]
-        return self.eul_offset + self.eul_amp * np.sin(
-            TWO_PI * self.eul_freq * t + self.eul_phase)
+        return self.eul_amp * np.sin(TWO_PI * self.eul_freq * t
+                                     + self.eul_phase)
 
     def euler_rates(self, t):
         t = np.asarray(t, dtype=float)[..., None]
@@ -143,15 +141,15 @@ def _quat_zyx(yaw, pitch, roll):
     return q
 
 
-def camera_forward_extrinsics(p_ic=(0.1, 0.0, 0.0)) -> Extrinsics:
-    """Camera rigidly ahead of the IMU, optical axis (+z of C) along body +x,
-    image x right (-y body), image y down (-z body)."""
+def camera_forward_extrinsics() -> Extrinsics:
+    """Camera rigidly 0.1 m ahead of the IMU, optical axis (+z of C) along
+    body +x, image x right (-y body), image y down (-z body)."""
     rot_ic = np.array([
         [0.0, 0.0, 1.0],
         [-1.0, 0.0, 0.0],
         [0.0, -1.0, 0.0],
     ])
-    return Extrinsics(np.asarray(p_ic, dtype=float), quat_of(rot_ic))
+    return Extrinsics(np.array([0.1, 0.0, 0.0]), quat_of(rot_ic))
 
 
 @dataclass
@@ -173,7 +171,8 @@ class WorldSpec:
 
 @dataclass
 class SensorSpec:
-    imu_rate: float = 200.0
+    """Camera and measurement-noise settings; the IMU rate is gen_imu's."""
+
     cam_rate: float = 20.0
     sigma_p: np.ndarray = field(default_factory=lambda: np.full(3, 0.01))
     sigma_theta: np.ndarray = field(default_factory=lambda: np.full(3, 0.0175))
@@ -189,11 +188,6 @@ class SensorSpec:
     extrinsics: Extrinsics = field(default_factory=camera_forward_extrinsics)
 
     def __post_init__(self):
-        if self.imu_rate <= 0 or self.cam_rate <= 0:
-            raise ValueError("rates must be positive")
-        ratio = self.imu_rate / self.cam_rate
-        if abs(ratio - round(ratio)) > 1e-9:
-            raise ValueError("camera rate must divide the IMU rate")
         if self.mode not in SIGMA_MODES:
             raise ValueError(f"unknown sigma mode {self.mode!r}; expected "
                              f"one of {SIGMA_MODES}")
@@ -301,13 +295,11 @@ def _in_frustum(p_co: np.ndarray, fov_deg: float,
 
 
 def visibility(traj: TrajectorySpec, world: WorldSpec, t: float,
-               fov_deg: float, max_range_m: float,
-               extr: Extrinsics | None = None) -> list:
-    """Ids of the objects inside the camera frustum at time t (see
-    _in_frustum)."""
-    if extr is None:
-        extr = camera_forward_extrinsics()
-    p_co, _ = _relative_poses(traj, world, extr, np.atleast_1d(float(t)))
+               fov_deg: float, max_range_m: float) -> list:
+    """Ids of the objects inside the frustum of camera_forward_extrinsics()
+    at time t (see _in_frustum)."""
+    p_co, _ = _relative_poses(traj, world, camera_forward_extrinsics(),
+                              np.atleast_1d(float(t)))
     visible = _in_frustum(p_co[0], fov_deg, max_range_m)
     return [obj.obj_id for obj, v in zip(world.objects, visible) if v]
 

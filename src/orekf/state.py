@@ -39,6 +39,8 @@ BG = slice(9, 12)
 BA = slice(12, 15)
 P_IC = slice(15, 18)
 ATT_IC = slice(18, 21)
+# the anchor, object 0, whose pose is the gauge datum: [dp_wo_0, dtheta_wo_0]
+ANCHOR = slice(BASE_DIM, BASE_DIM + 6)
 
 
 def obj_pos_slice(i: int) -> slice:
@@ -81,15 +83,17 @@ class ObjectState:
     obj_class: str
     p_wo: np.ndarray
     q_wo: np.ndarray
-    anchor: bool = False
 
     def copy(self) -> "ObjectState":
         return ObjectState(self.obj_id, self.obj_class, self.p_wo.copy(),
-                           self.q_wo.copy(), self.anchor)
+                           self.q_wo.copy())
 
 
 @dataclass
 class FullState:
+    """Core, extrinsics and the objects in the order they were added; the
+    first object is the anchor."""
+
     core: CoreState
     extr: Extrinsics
     objects: list = field(default_factory=list)
@@ -101,12 +105,6 @@ class FullState:
     def copy(self) -> "FullState":
         return FullState(self.core.copy(), self.extr.copy(),
                          [o.copy() for o in self.objects])
-
-    def anchor_index(self) -> int:
-        for i, obj in enumerate(self.objects):
-            if obj.anchor:
-                return i
-        raise ValueError("no objects registered")
 
 
 def symmetrize(cov: np.ndarray) -> np.ndarray:
@@ -141,19 +139,6 @@ def inject_error(state: FullState, dx: np.ndarray) -> FullState:
     return FullState(new_core, new_extr, new_objects)
 
 
-def anchor_mask(state: FullState) -> np.ndarray:
-    """Boolean mask over the error dimensions selecting the anchor object.
-
-    Update modules use it to mask the anchor out of the correction (its pose
-    is the gauge datum and never changes).
-    """
-    i = state.anchor_index()
-    mask = np.zeros(state.error_dim, dtype=bool)
-    mask[obj_pos_slice(i)] = True
-    mask[obj_att_slice(i)] = True
-    return mask
-
-
 def _init_jacobians(state: FullState, p_co: np.ndarray, rot_co: np.ndarray):
     """Chain-rule Jacobians of a new object's pose error w.r.t. the existing
     error state (h_x) and the measurement noise [n_p, n_theta] (j_n)."""
@@ -185,12 +170,12 @@ def add_object(state: FullState, cov: np.ndarray, obj: ObjectState,
     meas_cov is the 6x6 block-diagonal covariance of the originating relative
     pose measurement (position then rotation, camera frame). The new 6x6 block
     and its cross-covariances follow from the chain rule through the current
-    robot pose and extrinsics; the first object becomes the anchor.
+    robot pose and extrinsics. The object is appended, so the first object
+    added is the anchor.
     """
     if any(o.obj_id == obj.obj_id for o in state.objects):
         raise ValueError(f"duplicate object id {obj.obj_id}")
     obj = obj.copy()
-    obj.anchor = len(state.objects) == 0
 
     rot_wc = rot_of(state.core.q_wi) @ rot_of(state.extr.q_ic)
     p_co = rot_of(state.extr.q_ic).T @ (

@@ -24,7 +24,7 @@ import numpy as np
 
 from . import state as st
 from .geom3 import quat_canonical, quat_conj, quat_mul, rot_of, skew
-from .state import FullState, anchor_mask, inject_error, symmetrize
+from .state import FullState, inject_error, symmetrize
 
 log = logging.getLogger(__name__)
 
@@ -289,7 +289,7 @@ def joseph_update(state: FullState, cov: np.ndarray, stacked: StackedUpdate,
         return state, cov, False
     gain = np.linalg.solve(s, hp).T
     if state.objects:
-        gain[anchor_mask(state), :] = 0.0
+        gain[st.ANCHOR] = 0.0
     new_state = inject_error(state, gain @ stacked.residual)
     i_kh = np.eye(cov.shape[0]) - gain @ stacked.jacobian
     new_cov = i_kh @ cov @ i_kh.T + gain @ stacked.noise_cov @ gain.T
@@ -299,11 +299,11 @@ def joseph_update(state: FullState, cov: np.ndarray, stacked: StackedUpdate,
 def ekf_update(state: FullState, cov: np.ndarray, stacked: StackedUpdate):
     """Error-state EKF update with Joseph-form covariance.
 
-    The anchor object's gain rows are zeroed so its pose (and covariance
-    block) never change; its columns stay in the Jacobian so the innovation
-    covariance keeps the anchor's uncertainty, which keeps the filter
-    consistent in the world frame. An ill-conditioned innovation covariance
-    skips the update with a diagnostic.
+    The gain rows of the anchor (object 0) are zeroed so its pose (and
+    covariance block) never change; its columns stay in the Jacobian so the
+    innovation covariance keeps the anchor's uncertainty, which keeps the
+    filter consistent in the world frame. An ill-conditioned innovation
+    covariance skips the update with a diagnostic.
     """
     if stacked.residual.size < 1:
         raise ValueError("empty stacked update")

@@ -25,8 +25,6 @@ from .update_direct import PoseMeasurement, small_angle_residual
 class InvertedMeasurement:
     """Camera pose in the object frame with full (rotated) covariance blocks."""
 
-    t: float
-    object_class: str
     p_oc: np.ndarray
     q_oc: np.ndarray
     cov_p: np.ndarray
@@ -39,8 +37,6 @@ def invert_measurement(meas: PoseMeasurement) -> InvertedMeasurement:
     3x3 block picks up off-diagonal correlations from the rotation."""
     rot_oc = rot_of(meas.q_co).T
     return InvertedMeasurement(
-        t=meas.t,
-        object_class=meas.object_class,
         p_oc=-(rot_oc @ meas.p_co),
         q_oc=quat_conj(meas.q_co),
         cov_p=rot_oc @ np.diag(meas.var_p) @ rot_oc.T,

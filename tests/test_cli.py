@@ -142,10 +142,15 @@ class TestConfigParsing:
         with pytest.raises(ConfigError):
             parse_config(write(tmp_path, text))
 
-    def test_unknown_preset(self, tmp_path):
-        with pytest.raises(KeyError):
-            parse_config(write(tmp_path, BASE_CONFIG.replace(
-                "preset01", "presetXX"))).scenario()
+    def test_unknown_preset(self, tmp_path, capsys):
+        path = write(tmp_path, BASE_CONFIG.replace("preset01", "presetXX"))
+        with pytest.raises(ConfigError, match="line 2: unknown preset "
+                                              "'presetXX'"):
+            parse_config(path)
+        assert main(["run", "--config", str(path),
+                     "--out", str(tmp_path / "x")]) == 2
+        assert capsys.readouterr().err.startswith(
+            "error: line 2: unknown preset 'presetXX'; available: preset01")
 
     def test_trajectory_leaves_the_preset_unchanged(self):
         before = get_preset("preset01").trajectory.duration
@@ -297,6 +302,28 @@ class TestReplay:
         path.write_text("replay-log 99\n0,IMU,0,0,9.81,0,0,0\n")
         with pytest.raises(ReplayLogError, match="header"):
             read_log(path)
+
+    @pytest.mark.parametrize("column", [2, 5], ids=["acc", "gyro"])
+    def test_extreme_imu_value_replays_as_diverged(self, tmp_path, capsys,
+                                                   column):
+        cfg_path = write(tmp_path, "config_version = 1\npreset = preset01\n"
+                                   "duration = 1.0\nseed = 0\n")
+        main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "a")])
+        capsys.readouterr()
+        lines = (tmp_path / "a" / "replay.log").read_text() \
+            .splitlines(keepends=True)
+        imu = [i for i, line in enumerate(lines) if ",IMU," in line]
+        for n in (0, 1, 100, len(imu) - 1):
+            parts = lines[imu[n]].split(",")
+            parts[column] = "1e300"
+            bad = lines[:imu[n]] + [",".join(parts)] + lines[imu[n] + 1:]
+            (tmp_path / "bad.log").write_text("".join(bad))
+            with np.errstate(all="ignore"):
+                code = main(["replay", "--config", str(cfg_path),
+                             "--log", str(tmp_path / "bad.log"),
+                             "--out", str(tmp_path / "rep")])
+            assert code == 0, n
+            assert capsys.readouterr().out.startswith("DIVERGED"), n
 
     def test_replay_cli_matches_run_cli(self, tmp_path):
         cfg_path = write(tmp_path, BASE_CONFIG)

@@ -14,12 +14,13 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as hs
 
 from orekf import gating as gt
+from orekf import state as st
 from orekf import update_direct as ud
 from orekf import update_inverse as ui
 from orekf.geom3 import exp_so3, quat_mul, quat_of
 from orekf.runner import FilterSetup, _update_frame
 from orekf.sim import camera_forward_extrinsics
-from orekf.state import anchor_mask, inject_error, symmetrize
+from orekf.state import inject_error, symmetrize
 from tests.test_update_direct import consistent_measurement, random_state
 
 METHODS = {"direct": ("none", "chi2", "chi2p", "aor", "aorp"),
@@ -95,7 +96,7 @@ def reference_update(state, cov, blocks, decisions):
         r[3 * k:3 * k + 3, 3 * k:3 * k + 3] = block
     s = symmetrize(h @ cov @ h.T + r)
     gain = np.linalg.solve(s, h @ cov).T
-    gain[anchor_mask(state), :] = 0.0
+    gain[st.ANCHOR] = 0.0
     i_kh = np.eye(cov.shape[0]) - gain @ h
     return (inject_error(state, gain @ z),
             symmetrize(i_kh @ cov @ i_kh.T + gain @ r @ gain.T))

@@ -49,7 +49,7 @@ class TestProjectMeasurement:
 class TestMatch:
     def test_single_in_gate_matches(self):
         objects = [ObjectState(0, "box", np.array([1.0, 0, 0]),
-                               QUAT_IDENTITY.copy(), True)]
+                               QUAT_IDENTITY.copy())]
         projected = [(Pose(np.array([1.05, 0, 0]), QUAT_IDENTITY.copy()), "box")]
         pairs, unmatched = match(projected, objects, MatchConfig())
         assert pairs == [(0, 0)]
@@ -57,7 +57,7 @@ class TestMatch:
 
     def test_class_mismatch_goes_unmatched(self):
         objects = [ObjectState(0, "mug", np.array([1.0, 0, 0]),
-                               QUAT_IDENTITY.copy(), True)]
+                               QUAT_IDENTITY.copy())]
         projected = [(Pose(np.array([1.0, 0, 0]), QUAT_IDENTITY.copy()), "box")]
         pairs, unmatched = match(projected, objects, MatchConfig())
         assert pairs == []
@@ -65,7 +65,7 @@ class TestMatch:
 
     def test_cost_above_gate_goes_unmatched(self):
         objects = [ObjectState(0, "box", np.array([5.0, 0, 0]),
-                               QUAT_IDENTITY.copy(), True)]
+                               QUAT_IDENTITY.copy())]
         projected = [(Pose(np.array([1.0, 0, 0]), QUAT_IDENTITY.copy()), "box")]
         pairs, unmatched = match(projected, objects, MatchConfig(gate=1.0))
         assert pairs == []
@@ -73,8 +73,7 @@ class TestMatch:
 
     def test_empty_inputs(self):
         assert match([], [], MatchConfig()) == ([], [])
-        objects = [ObjectState(0, "box", np.zeros(3), QUAT_IDENTITY.copy(),
-                               True)]
+        objects = [ObjectState(0, "box", np.zeros(3), QUAT_IDENTITY.copy())]
         assert match([], objects, MatchConfig()) == ([], [])
 
     def test_assignment_matches_brute_force(self):
@@ -83,8 +82,8 @@ class TestMatch:
         for _ in range(30):
             n = 3
             objects = [ObjectState(j, "box", rng.normal(size=3),
-                                   quat_of(exp_so3(rng.normal(size=3))),
-                                   j == 0) for j in range(n)]
+                                   quat_of(exp_so3(rng.normal(size=3))))
+                       for j in range(n)]
             projected = [(Pose(rng.normal(size=3),
                                quat_of(exp_so3(rng.normal(size=3)))), "box")
                          for _ in range(n)]
@@ -107,7 +106,7 @@ class TestMatch:
         cfg = MatchConfig(gate=1e6)
         for n in (2, 4, 6):
             objects = [ObjectState(j, "box", rng.normal(size=3) * 3,
-                                   QUAT_IDENTITY.copy(), j == 0)
+                                   QUAT_IDENTITY.copy())
                        for j in range(n)]
             projected = [(Pose(rng.normal(size=3) * 3, QUAT_IDENTITY.copy()),
                           "box") for _ in range(n)]
@@ -121,7 +120,7 @@ class TestMatch:
     def test_deterministic(self):
         rng = np.random.default_rng(3)
         objects = [ObjectState(j, "box", rng.normal(size=3),
-                               QUAT_IDENTITY.copy(), j == 0) for j in range(4)]
+                               QUAT_IDENTITY.copy()) for j in range(4)]
         projected = [(Pose(rng.normal(size=3), QUAT_IDENTITY.copy()), "box")
                      for _ in range(4)]
         out1 = match(projected, objects, MatchConfig(gate=50.0))
@@ -135,7 +134,6 @@ class TestInitializeObject:
         s.objects = []  # start with no objects
         cov = np.eye(21) * 1e-6
         s2, cov2 = initialize_object(s, cov, measurement([2.0, 0, 0]), 0)
-        assert s2.objects[0].anchor
         assert cov2.shape == (27, 27)
 
     def test_pose_equals_projection(self):

@@ -146,6 +146,13 @@ class TestAnees:
         assert_allclose(anees(rec, "position"), anees(rec_rot, "position"),
                         atol=1e-10)
 
+    def test_non_finite_block_gives_nan(self):
+        covs = np.tile(np.eye(3), (4, 1, 1))
+        covs[2, 0, 0] = np.inf
+        rec = make_record(np.zeros((4, 3)), np.full((4, 3), 0.1),
+                          cov_pos=covs)
+        assert np.isnan(anees(rec, "position"))
+
     def test_unknown_block_rejected(self):
         rec = make_record(np.zeros((3, 3)), np.zeros((3, 3)))
         with pytest.raises(ValueError):

@@ -189,7 +189,7 @@ def test_batch_matches_repeated_single_steps():
                      0.01 * rng.normal(size=3), 0.01 * rng.normal(size=3))
     s = FullState(core, Extrinsics(np.zeros(3), QUAT_IDENTITY.copy()),
                   [ObjectState(0, "box", rng.normal(size=3),
-                               QUAT_IDENTITY.copy(), True)])
+                               QUAT_IDENTITY.copy())])
     a = rng.normal(size=(27, 27))
     cov = a @ a.T * 1e-4
     noise = ImuNoise()

@@ -83,6 +83,19 @@ class TestClosedLoop:
         assert rec.diverged
         assert rec.n_ticks < len(meas.t)
 
+    def test_nan_estimate_is_divergence(self):
+        traj = lively_traj(2.0)
+        noise = ImuNoise()
+        imu = gen_imu(traj, noise, 200.0, seed=3)
+        imu.acc[45] = np.nan  # averaged into the batch ending at tick 5
+        meas = gen_measurements(traj, single_object_world(),
+                                SensorSpec(sigma_p=0.02, sigma_theta=0.05),
+                                seed=3)
+        with np.errstate(invalid="ignore"):
+            rec = run_filter(imu, meas, default_setup(imu_noise=noise))
+        assert rec.diverged
+        assert rec.n_ticks == 6  # ticks 0 to 5
+
     def test_late_first_sight_initializes_anchor_late(self):
         traj = lively_traj(3.0)
         noise = ImuNoise()

@@ -10,7 +10,6 @@ from orekf.state import (
     FullState,
     ObjectState,
     add_object,
-    anchor_mask,
     inject_error,
 )
 
@@ -21,7 +20,7 @@ def identity_state(n_objects=0):
     extr = Extrinsics(np.zeros(3), QUAT_IDENTITY.copy())
     objects = [
         ObjectState(i, "box", np.array([1.0 + i, 0.0, 0.0]),
-                    QUAT_IDENTITY.copy(), anchor=(i == 0))
+                    QUAT_IDENTITY.copy())
         for i in range(n_objects)
     ]
     return FullState(core, extr, objects)
@@ -35,7 +34,7 @@ def random_state(rng, n_objects=2):
                       quat_of(exp_so3(0.2 * rng.normal(size=3))))
     objects = [
         ObjectState(i, "box", rng.normal(size=3) + np.array([2.0, 0, 0]),
-                    quat_of(exp_so3(rng.normal(size=3))), anchor=(i == 0))
+                    quat_of(exp_so3(rng.normal(size=3))))
         for i in range(n_objects)
     ]
     return FullState(core, extr, objects)
@@ -71,11 +70,6 @@ class TestInjectError:
         with pytest.raises(ValueError):
             inject_error(identity_state(1), np.zeros(21))
 
-    def test_anchor_flags_unchanged(self):
-        s = identity_state(2)
-        out = inject_error(s, np.ones(s.error_dim) * 1e-3)
-        assert [o.anchor for o in out.objects] == [True, False]
-
     def test_first_order_composition(self):
         rng = np.random.default_rng(0)
         s = random_state(rng)
@@ -98,11 +92,11 @@ class TestAddObject:
         cov = np.eye(21) * 1e-6
         obj = ObjectState(0, "mug", np.array([1.0, 0, 0]), QUAT_IDENTITY.copy())
         s2, cov2 = add_object(s, cov, obj, np.eye(6) * 1e-4)
-        assert s2.objects[0].anchor
         s3, _ = add_object(s2, cov2, ObjectState(1, "box", np.ones(3),
                                                  QUAT_IDENTITY.copy()),
                            np.eye(6) * 1e-4)
-        assert not s3.objects[1].anchor
+        # objects are appended: the first one added stays object 0
+        assert [o.obj_class for o in s3.objects] == ["mug", "box"]
 
     def test_dimension_growth(self):
         s = identity_state()
@@ -155,17 +149,4 @@ class TestAddObject:
 
 class TestAnchorMask:
     def test_single_object(self):
-        mask = anchor_mask(identity_state(1))
-        assert mask.shape == (27,)
-        assert list(np.flatnonzero(mask)) == list(range(21, 27))
-
-    def test_anchor_second_of_two(self):
-        s = identity_state(2)
-        s.objects[0].anchor = False
-        s.objects[1].anchor = True
-        mask = anchor_mask(s)
-        assert list(np.flatnonzero(mask)) == list(range(27, 33))
-
-    def test_no_objects_raises(self):
-        with pytest.raises(ValueError):
-            anchor_mask(identity_state())
+        assert list(range(27))[st.ANCHOR] == list(range(21, 27))

@@ -41,7 +41,7 @@ def random_state(rng, n_objects=2):
                       quat_of(exp_so3(0.5 * rng.normal(size=3))))
     objects = [
         ObjectState(i, "box", rng.normal(size=3) * 2.0,
-                    quat_of(exp_so3(rng.normal(size=3))), anchor=(i == 0))
+                    quat_of(exp_so3(rng.normal(size=3))))
         for i in range(n_objects)
     ]
     return FullState(core, extr, objects)
@@ -61,7 +61,7 @@ def identity_state(p_wo=(1.0, 0.0, 0.0)):
                      np.zeros(3), np.zeros(3))
     extr = Extrinsics(np.zeros(3), QUAT_IDENTITY.copy())
     obj = ObjectState(0, "box", np.asarray(p_wo, dtype=float),
-                      QUAT_IDENTITY.copy(), anchor=True)
+                      QUAT_IDENTITY.copy())
     return FullState(core, extr, [obj])
 
 
