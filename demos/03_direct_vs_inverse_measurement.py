@@ -13,10 +13,10 @@ from orekf.state import CoreState, Extrinsics, FullState, ObjectState
 core = CoreState(np.zeros(3), np.zeros(3), QUAT_IDENTITY.copy(),
                  np.zeros(3), np.zeros(3))
 extr = Extrinsics(np.zeros(3), QUAT_IDENTITY.copy())
-obj = ObjectState(0, "mug", np.array([2.0, 0.0, 0.0]), QUAT_IDENTITY.copy())
+obj = ObjectState("mug", np.array([2.0, 0.0, 0.0]), QUAT_IDENTITY.copy())
 state = FullState(core, extr, [obj])
 
-clean = ud.PoseMeasurement(0.0, "mug",
+clean = ud.PoseMeasurement("mug",
                            ud.predicted_relative_position(core, extr, obj),
                            ud.predicted_relative_quat(core, extr, obj),
                            np.array([1e-4, 4e-4, 9e-4]), np.full(3, 1e-4))
@@ -27,7 +27,7 @@ print("  inverse z_p:", ui.residual_position(core, extr, obj,
 
 # now corrupt ONLY the measured rotation by 15 degrees
 bad_rot = ud.PoseMeasurement(
-    0.0, "mug", clean.p_co.copy(),
+    "mug", clean.p_co.copy(),
     quat_mul(clean.q_co, quat_of(exp_so3([0.0, np.deg2rad(15), 0.0]))),
     clean.var_p.copy(), clean.var_theta.copy())
 

@@ -3,14 +3,12 @@ metrics, all through the library API (the CLI wraps exactly this)."""
 
 import numpy as np
 
-from orekf.matching import MatchConfig
 from orekf.metrics import anees, max_position_error, rmse_orientation, \
     rmse_position
 from orekf.presets import get_preset
 from orekf.propagation import ImuNoise
 from orekf.runner import FilterSetup, run_filter
-from orekf.sim import SensorSpec, camera_forward_extrinsics, gen_imu, \
-    gen_measurements
+from orekf.sim import SensorSpec, gen_imu, gen_measurements
 
 preset = get_preset("preset01")
 noise = ImuNoise()
@@ -19,9 +17,7 @@ sensor = SensorSpec(sigma_p=0.02, sigma_theta=0.05, mode="exact")
 imu = gen_imu(preset.trajectory, noise, 200.0, seed=42)
 meas = gen_measurements(preset.trajectory, preset.world, sensor, seed=42)
 
-setup = FilterSetup(extrinsics=camera_forward_extrinsics(), imu_noise=noise,
-                    filter_type="direct",
-                    matching=MatchConfig(gate=preset.match_gate))
+setup = FilterSetup(imu_noise=noise, filter_type="direct")
 record = run_filter(imu, meas, setup)
 
 print(f"preset01, 20 s, 2 objects, sigma_p=2 cm, sigma_theta~3 deg")

@@ -7,13 +7,11 @@ raised report. Compare all five gating strategies on identical data.
 import numpy as np
 
 from orekf.gating import GatingConfig
-from orekf.matching import MatchConfig
 from orekf.metrics import rmse_position
 from orekf.presets import get_preset
 from orekf.propagation import ImuNoise
 from orekf.runner import FilterSetup, run_filter
-from orekf.sim import SensorSpec, camera_forward_extrinsics, gen_imu, \
-    gen_measurements
+from orekf.sim import SensorSpec, gen_imu, gen_measurements
 
 preset = get_preset("preset09")  # single mug + two ambiguity windows
 noise = ImuNoise(sigma_acc=0.02, sigma_gyro=0.008)
@@ -33,10 +31,8 @@ for method in ("none", "chi2", "chi2p", "aor", "aorp"):
         imu = gen_imu(preset.trajectory, noise, 200.0, seed=seed)
         meas = gen_measurements(preset.trajectory, preset.world,
                                 SensorSpec(**sensor_kw), seed=seed)
-        setup = FilterSetup(extrinsics=camera_forward_extrinsics(),
-                            imu_noise=noise,
-                            gating=GatingConfig(method=method),
-                            matching=MatchConfig(gate=preset.match_gate))
+        setup = FilterSetup(imu_noise=noise,
+                            gating=GatingConfig(method=method))
         rec = run_filter(imu, meas, setup)
         if rec.diverged:
             div += 1

@@ -6,13 +6,11 @@ The full protocol lives in the CLI: `orekf sweep --config ... --parallel N`.
 import numpy as np
 
 from orekf.cli import child_seed
-from orekf.matching import MatchConfig
 from orekf.metrics import rmse_position
 from orekf.presets import get_preset
 from orekf.propagation import ImuNoise
 from orekf.runner import FilterSetup, run_filter
-from orekf.sim import SensorSpec, camera_forward_extrinsics, gen_imu, \
-    gen_measurements
+from orekf.sim import SensorSpec, gen_imu, gen_measurements
 
 preset = get_preset("preset02")
 noise = ImuNoise(sigma_acc=0.15, sigma_gyro=0.008)
@@ -22,9 +20,7 @@ runs = 5
 
 tables = {}
 for ftype in ("direct", "inverse"):
-    setup = FilterSetup(extrinsics=camera_forward_extrinsics(),
-                        imu_noise=noise, filter_type=ftype,
-                        matching=MatchConfig(gate=preset.match_gate))
+    setup = FilterSetup(imu_noise=noise, filter_type=ftype)
     table = np.zeros((2, 2))
     for i, sp in enumerate(grid_p):
         for j, st in enumerate(grid_t):

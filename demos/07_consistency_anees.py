@@ -6,13 +6,11 @@ number leaves the healthy band.
 
 import numpy as np
 
-from orekf.matching import MatchConfig
 from orekf.metrics import anees
 from orekf.presets import get_preset
 from orekf.propagation import ImuNoise
 from orekf.runner import FilterSetup, run_filter
-from orekf.sim import SensorSpec, camera_forward_extrinsics, gen_imu, \
-    gen_measurements
+from orekf.sim import SensorSpec, gen_imu, gen_measurements
 
 N_RUNS = 25
 
@@ -24,9 +22,7 @@ for seed in range(N_RUNS):
     meas = gen_measurements(preset.trajectory, preset.world,
                             SensorSpec(sigma_p=0.02, sigma_theta=0.05,
                                        mode="exact"), seed=seed)
-    setup = FilterSetup(extrinsics=camera_forward_extrinsics(),
-                        imu_noise=noise,
-                        matching=MatchConfig(gate=preset.match_gate))
+    setup = FilterSetup(imu_noise=noise)
     vals.append(anees(run_filter(imu, meas, setup)))
 print(f"exact reporting, clean preset: position ANEES = "
       f"{np.mean(vals):.3f} over {N_RUNS} runs (target ~1)")
@@ -41,9 +37,7 @@ for seed in range(N_RUNS):
         SensorSpec(sigma_p=0.02, sigma_theta=0.0875, mode="fixed",
                    episodes=preset9.episodes, episode_excess=4.0),
         seed=seed)
-    setup = FilterSetup(extrinsics=camera_forward_extrinsics(),
-                        imu_noise=noise9,
-                        matching=MatchConfig(gate=preset9.match_gate))
+    setup = FilterSetup(imu_noise=noise9)
     vals_fixed.append(anees(run_filter(imu, meas, setup)))
 print(f"fixed (hand-tuned) covariance, episode preset: position ANEES = "
       f"{np.mean(vals_fixed):.3f}")

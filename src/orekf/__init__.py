@@ -15,8 +15,8 @@ from .metrics import RunRecord, anees, max_position_error, rmse_orientation, \
     rmse_position
 from .propagation import ImuNoise, propagate_batch
 from .runner import FilterSetup, run_filter
-from .sim import SensorSpec, TrajectorySpec, WorldObject, WorldSpec, \
-    camera_forward_extrinsics, gen_imu, gen_measurements
+from .sim import SensorSpec, TrajectorySpec, camera_forward_extrinsics, \
+    gen_imu, gen_measurements
 from .state import CoreState, Extrinsics, FullState, ObjectState, add_object, \
     inject_error
 from .update_direct import PoseMeasurement
@@ -45,8 +45,6 @@ __all__ = [
     "run_filter",
     "SensorSpec",
     "TrajectorySpec",
-    "WorldObject",
-    "WorldSpec",
     "camera_forward_extrinsics",
     "gen_imu",
     "gen_measurements",

@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -28,31 +29,32 @@ def child_seed(base: int, *key) -> int:
     return int(ss.generate_state(1, np.uint64)[0])
 
 
-def simulate_streams(cfg: RunConfig, seed: int, sigma_p=None,
-                     sigma_theta=None):
+def simulate_streams(cfg: RunConfig, seed: int):
     traj = cfg.trajectory()
     imu = gen_imu(traj, cfg.imu_noise(), cfg.imu_rate, seed)
-    meas = gen_measurements(traj, cfg.world(),
-                            cfg.sensor_spec(sigma_p, sigma_theta), seed)
+    meas = gen_measurements(traj, cfg.world(), cfg.sensor_spec(), seed)
     return imu, meas
 
 
-def execute_run(cfg: RunConfig, seed: int, sigma_p=None, sigma_theta=None):
-    imu, meas = simulate_streams(cfg, seed, sigma_p, sigma_theta)
+def execute_run(cfg: RunConfig, seed: int):
+    imu, meas = simulate_streams(cfg, seed)
     record = run_filter(imu, meas, cfg.filter_setup())
     return imu, meas, record
 
 
 def _record_metrics(record) -> dict:
-    return {
-        "diverged": int(record.diverged),
-        "n_ticks": record.n_ticks,
-        "rmse_position_m": mt.rmse_position(record),
-        "rmse_orientation_deg": mt.rmse_orientation(record),
-        "max_position_error_m": mt.max_position_error(record),
-        "anees_position": mt.anees(record, "position"),
-        "anees_orientation": mt.anees(record, "orientation"),
-    }
+    # the last estimate of a diverged run may overflow the metrics to inf,
+    # which the diverged flag already explains
+    with np.errstate(over="ignore"):
+        return {
+            "diverged": int(record.diverged),
+            "n_ticks": record.n_ticks,
+            "rmse_position_m": mt.rmse_position(record),
+            "rmse_orientation_deg": mt.rmse_orientation(record),
+            "max_position_error_m": mt.max_position_error(record),
+            "anees_position": mt.anees(record, "position"),
+            "anees_orientation": mt.anees(record, "orientation"),
+        }
 
 
 def _metric_cells(met: dict) -> list:
@@ -98,10 +100,10 @@ def cmd_run(cfg: RunConfig, out_dir: Path) -> dict:
 
 def _sweep_task(args):
     cfg, i, j, k = args
-    sig_p = (cfg.sweep_sigma_p[i],) * 3
-    sig_t = (cfg.sweep_sigma_theta[j],) * 3
     seed = child_seed(cfg.seed, i, j, k)
-    _, _, record = execute_run(cfg, seed, sig_p, sig_t)
+    cell = replace(cfg, sigma_p=(cfg.sweep_sigma_p[i],) * 3,
+                   sigma_theta=(cfg.sweep_sigma_theta[j],) * 3)
+    _, _, record = execute_run(cell, seed)
     return i, j, k, seed, _record_metrics(record)
 
 

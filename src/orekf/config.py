@@ -5,7 +5,7 @@ objects. Values are scalars or comma-separated lists; `#` starts a comment.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -14,7 +14,7 @@ from .matching import MatchConfig
 from .presets import ScenarioPreset, get_preset
 from .propagation import ImuNoise
 from .runner import FilterSetup
-from .sim import SensorSpec, TrajectorySpec, WorldSpec, camera_forward_extrinsics
+from .sim import SensorSpec, TrajectorySpec
 
 SCHEMA_VERSION = 1
 
@@ -52,7 +52,7 @@ class RunConfig:
     aorp_tau_theta: float = 0.175
     match_w_p: float = 1.0
     match_w_theta: float = 1.0
-    match_gate: float | None = None      # None: take the preset's gate
+    match_gate: float = 6.0
     divergence_bound: float = 10.0
     runs_per_cell: int = 100
     sweep_sigma_p: tuple = (0.01, 0.05, 0.1, 0.2, 0.3)
@@ -66,7 +66,7 @@ class RunConfig:
     def trajectory(self) -> TrajectorySpec:
         return replace(self.scenario().trajectory, duration=self.duration)
 
-    def world(self) -> WorldSpec:
+    def world(self) -> list:
         return self.scenario().world
 
     def episode_schedule(self) -> list:
@@ -77,13 +77,11 @@ class RunConfig:
             return [tuple(flat[i:i + 3]) for i in range(0, len(flat), 3)]
         return list(self.scenario().episodes)
 
-    def sensor_spec(self, sigma_p=None, sigma_theta=None) -> SensorSpec:
+    def sensor_spec(self) -> SensorSpec:
         return SensorSpec(
             cam_rate=self.cam_rate,
-            sigma_p=np.asarray(sigma_p if sigma_p is not None
-                               else self.sigma_p, dtype=float),
-            sigma_theta=np.asarray(sigma_theta if sigma_theta is not None
-                                   else self.sigma_theta, dtype=float),
+            sigma_p=np.asarray(self.sigma_p, dtype=float),
+            sigma_theta=np.asarray(self.sigma_theta, dtype=float),
             mode=self.sigma_mode,
             fixed_sigma_p=np.asarray(self.fixed_sigma_p, dtype=float),
             fixed_sigma_theta=np.asarray(self.fixed_sigma_theta, dtype=float),
@@ -92,7 +90,6 @@ class RunConfig:
             sigma_floor=self.sigma_floor,
             fov_deg=self.fov_deg,
             max_range=self.max_range,
-            extrinsics=camera_forward_extrinsics(),
         )
 
     def imu_noise(self) -> ImuNoise:
@@ -101,10 +98,7 @@ class RunConfig:
                         np.asarray(self.gravity, dtype=float))
 
     def filter_setup(self) -> FilterSetup:
-        gate = self.match_gate if self.match_gate is not None \
-            else self.scenario().match_gate
         return FilterSetup(
-            extrinsics=camera_forward_extrinsics(),
             imu_noise=self.imu_noise(),
             filter_type=self.filter,
             gating=GatingConfig(
@@ -112,7 +106,8 @@ class RunConfig:
                 aor_tau_p=self.aor_tau_p, aor_tau_theta=self.aor_tau_theta,
                 aorp_tau_p=self.aorp_tau_p,
                 aorp_tau_theta=self.aorp_tau_theta),
-            matching=MatchConfig(self.match_w_p, self.match_w_theta, gate),
+            matching=MatchConfig(self.match_w_p, self.match_w_theta,
+                                 self.match_gate),
             divergence_bound=self.divergence_bound,
         )
 

@@ -22,7 +22,7 @@ class MatchConfig:
 
     w_p: float = 1.0
     w_theta: float = 1.0
-    gate: float = 1.0
+    gate: float = 6.0
 
 
 def project_measurement(core, extr, meas: PoseMeasurement) -> Pose:
@@ -68,16 +68,17 @@ def match(projected, objects, cfg: MatchConfig):
 
 
 def initialize_object(state: FullState, cov: np.ndarray,
-                      meas: PoseMeasurement, obj_id: int):
+                      meas: PoseMeasurement):
     """Create a new object state from an unmatched measurement.
 
     The pose is the projected measurement; the covariance block comes from
     the chain rule through the current robot pose plus the reported
     measurement covariance (see add_object), which appends it: the first
-    object initialized is the anchor.
+    object initialized is the anchor and the new object's id is the old
+    object count.
     """
     pose = project_measurement(state.core, state.extr, meas)
-    obj = ObjectState(obj_id, meas.object_class, pose.p, pose.q)
+    obj = ObjectState(meas.object_class, pose.p, pose.q)
     meas_cov = np.zeros((6, 6))
     meas_cov[:3, :3] = np.diag(meas.var_p)
     meas_cov[3:, 3:] = np.diag(meas.var_theta)

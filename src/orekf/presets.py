@@ -10,107 +10,93 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geom3 import Pose, QUAT_IDENTITY, quat_exp
-from .sim import TrajectorySpec, WorldObject, WorldSpec
+from .geom3 import quat_exp
+from .sim import TrajectorySpec
+from .state import ObjectState
 
 
 @dataclass
 class ScenarioPreset:
-    name: str
     trajectory: TrajectorySpec
-    world: WorldSpec
+    world: list                                    # ObjectState; id = index
     episodes: list = field(default_factory=list)  # (t_start, t_end, factor)
-    match_gate: float = 6.0
 
 
-def _obj(obj_id, obj_class, p, rotvec=(0.0, 0.0, 0.0)):
-    return WorldObject(obj_id, obj_class,
-                       Pose(np.asarray(p, dtype=float),
-                            quat_exp(np.asarray(rotvec, dtype=float))))
+def _obj(obj_class, p, rotvec=(0.0, 0.0, 0.0)):
+    return ObjectState(obj_class, np.asarray(p, dtype=float),
+                       quat_exp(np.asarray(rotvec, dtype=float)))
 
 
-def _traj(pos_amp, pos_freq, pos_phase, eul_amp, eul_freq, eul_phase,
-          duration=20.0):
-    return TrajectorySpec(duration=duration, pos_amp=pos_amp,
-                          pos_freq=pos_freq, pos_phase=pos_phase,
-                          eul_amp=eul_amp, eul_freq=eul_freq,
-                          eul_phase=eul_phase)
+def _traj(pos_amp, pos_freq, pos_phase, eul_amp, eul_freq, eul_phase):
+    return TrajectorySpec(pos_amp=pos_amp, pos_freq=pos_freq,
+                          pos_phase=pos_phase, eul_amp=eul_amp,
+                          eul_freq=eul_freq, eul_phase=eul_phase)
 
 
 def _build_presets():
     presets = {}
 
     presets["preset01"] = ScenarioPreset(
-        "preset01",
         _traj([0.30, 0.20, 0.10], [0.20, 0.30, 0.25], [0.0, 1.0, 2.0],
               [0.15, 0.10, 0.08], [0.15, 0.10, 0.20], [0.5, 1.5, 2.5]),
-        WorldSpec([_obj(0, "box", [1.5, 0.0, 0.0]),
-                   _obj(1, "mug", [1.2, 0.4, 0.1], [0.0, 0.0, 0.5])]))
+        [_obj("box", [1.5, 0.0, 0.0]),
+         _obj("mug", [1.2, 0.4, 0.1], [0.0, 0.0, 0.5])])
 
     presets["preset02"] = ScenarioPreset(
-        "preset02",
         _traj([0.25, 0.30, 0.12], [0.22, 0.18, 0.30], [1.2, 0.3, 2.1],
               [0.12, 0.08, 0.10], [0.12, 0.17, 0.09], [0.0, 2.0, 4.0]),
-        WorldSpec([_obj(0, "box", [3.0, 0.0, 0.0], [0.2, 0.0, -0.3])]))
+        [_obj("box", [3.0, 0.0, 0.0], [0.2, 0.0, -0.3])])
 
     presets["preset03"] = ScenarioPreset(
-        "preset03",
         _traj([0.20, 0.25, 0.15], [0.30, 0.21, 0.17], [0.7, 1.9, 0.2],
               [0.18, 0.07, 0.12], [0.10, 0.22, 0.14], [1.0, 0.0, 3.0]),
-        WorldSpec([_obj(0, "box", [1.0, -0.3, 0.0]),
-                   _obj(1, "can", [1.8, 0.3, -0.1], [0.0, 0.3, 0.0]),
-                   _obj(2, "drill", [2.2, -0.2, 0.2], [1.0, 0.0, 0.0])]))
+        [_obj("box", [1.0, -0.3, 0.0]),
+         _obj("can", [1.8, 0.3, -0.1], [0.0, 0.3, 0.0]),
+         _obj("drill", [2.2, -0.2, 0.2], [1.0, 0.0, 0.0])])
 
     presets["preset04"] = ScenarioPreset(
-        "preset04",
         _traj([0.35, 0.30, 0.18], [0.33, 0.27, 0.35], [0.0, 0.8, 1.6],
               [0.20, 0.12, 0.15], [0.20, 0.15, 0.25], [2.0, 1.0, 0.0]),
-        WorldSpec([_obj(0, "mug", [0.8, 0.1, -0.1], [0.0, 0.0, 1.2])]))
+        [_obj("mug", [0.8, 0.1, -0.1], [0.0, 0.0, 1.2])])
 
     presets["preset05"] = ScenarioPreset(
-        "preset05",
         _traj([0.30, 0.40, 0.10], [0.15, 0.12, 0.20], [0.4, 2.2, 1.1],
               [0.22, 0.06, 0.05], [0.08, 0.12, 0.10], [0.0, 1.0, 2.0]),
-        WorldSpec([_obj(0, "box", [2.0, 0.5, 0.0]),
-                   _obj(1, "bottle", [2.3, -0.4, 0.15], [0.0, 0.0, -0.8])]))
+        [_obj("box", [2.0, 0.5, 0.0]),
+         _obj("bottle", [2.3, -0.4, 0.15], [0.0, 0.0, -0.8])])
 
     presets["preset06"] = ScenarioPreset(
-        "preset06",
         _traj([0.22, 0.28, 0.14], [0.25, 0.19, 0.28], [1.5, 0.5, 2.8],
               [0.14, 0.09, 0.11], [0.14, 0.11, 0.18], [0.3, 2.4, 1.2]),
-        WorldSpec([_obj(0, "box", [1.4, -0.2, 0.0]),
-                   _obj(1, "mug", [1.1, 0.35, 0.05], [0.0, 0.0, 2.0]),
-                   _obj(2, "can", [1.9, 0.1, -0.2]),
-                   _obj(3, "drill", [2.4, -0.45, 0.25], [0.0, 0.5, 0.0])]))
+        [_obj("box", [1.4, -0.2, 0.0]),
+         _obj("mug", [1.1, 0.35, 0.05], [0.0, 0.0, 2.0]),
+         _obj("can", [1.9, 0.1, -0.2]),
+         _obj("drill", [2.4, -0.45, 0.25], [0.0, 0.5, 0.0])])
 
     presets["preset07"] = ScenarioPreset(
-        "preset07",
         _traj([0.26, 0.22, 0.20], [0.18, 0.26, 0.22], [0.1, 1.3, 2.6],
               [0.10, 0.16, 0.08], [0.11, 0.16, 0.12], [1.8, 0.0, 0.9]),
-        WorldSpec([_obj(0, "bottle", [1.4, 0.2, 0.35], [0.4, 0.0, 0.0]),
-                   _obj(1, "box", [1.3, -0.25, -0.30])]))
+        [_obj("bottle", [1.4, 0.2, 0.35], [0.4, 0.0, 0.0]),
+         _obj("box", [1.3, -0.25, -0.30])])
 
     presets["preset08"] = ScenarioPreset(
-        "preset08",
         _traj([0.40, 0.35, 0.22], [0.35, 0.30, 0.40], [0.0, 1.1, 2.2],
               [0.18, 0.14, 0.16], [0.25, 0.20, 0.30], [0.6, 1.7, 2.9]),
-        WorldSpec([_obj(0, "box", [1.6, 0.0, 0.1]),
-                   _obj(1, "can", [1.2, -0.4, -0.1], [0.0, 0.0, 0.7]),
-                   _obj(2, "mug", [2.0, 0.45, 0.2], [0.0, 0.0, -1.5])]))
+        [_obj("box", [1.6, 0.0, 0.1]),
+         _obj("can", [1.2, -0.4, -0.1], [0.0, 0.0, 0.7]),
+         _obj("mug", [2.0, 0.45, 0.2], [0.0, 0.0, -1.5])])
 
     presets["preset09"] = ScenarioPreset(
-        "preset09",
         _traj([0.28, 0.24, 0.12], [0.20, 0.24, 0.27], [0.9, 0.0, 1.8],
               [0.12, 0.09, 0.10], [0.13, 0.18, 0.11], [0.0, 1.2, 2.4]),
-        WorldSpec([_obj(0, "mug", [1.0, 0.0, 0.0], [0.0, 0.0, 0.9])]),
+        [_obj("mug", [1.0, 0.0, 0.0], [0.0, 0.0, 0.9])],
         episodes=[(4.0, 7.0, 6.0), (12.0, 15.0, 6.0)])
 
     presets["preset10"] = ScenarioPreset(
-        "preset10",
         _traj([0.24, 0.30, 0.16], [0.24, 0.17, 0.29], [2.0, 0.6, 0.0],
               [0.16, 0.10, 0.12], [0.16, 0.13, 0.21], [1.1, 0.0, 1.9]),
-        WorldSpec([_obj(0, "mug", [1.1, 0.2, 0.0], [0.0, 0.0, 1.8]),
-                   _obj(1, "box", [1.7, -0.3, 0.1])]),
+        [_obj("mug", [1.1, 0.2, 0.0], [0.0, 0.0, 1.8]),
+         _obj("box", [1.7, -0.3, 0.1])],
         episodes=[(5.0, 8.0, 4.5), (14.0, 16.0, 4.5)])
 
     return presets

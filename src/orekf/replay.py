@@ -45,14 +45,15 @@ def write_log(path, imu: ImuStream, meas: MeasurementStream):
                 i += 1
             if k == n_cam:
                 break
+            t_k = _f(meas.t[k])  # a measurement's time is its tick's
             fh.write(",".join(
-                [_f(meas.t[k]), "TRUTH"]
+                [t_k, "TRUTH"]
                 + [_f(v) for v in meas.truth_pos[k]]
                 + [_f(v) for v in meas.truth_vel[k]]
                 + [_f(v) for v in meas.truth_quat[k]]) + "\n")
             for m in meas.ticks[k]:
                 fh.write(",".join(
-                    [_f(m.t), "MEAS", m.object_class]
+                    [t_k, "MEAS", m.object_class]
                     + [_f(v) for v in m.p_co]
                     + [_f(v) for v in m.q_co]
                     + [_f(v) for v in m.var_p]
@@ -65,9 +66,13 @@ def read_log(path):
     Raises ReplayLogError on a version mismatch, malformed lines or
     non-finite numbers, a record without its newline, a TRUTH record not
     preceded by an IMU record at its own time, IMU records past the last
-    TRUTH tick, or non-monotone timestamps.
+    TRUTH tick, non-monotone timestamps, IMU samples not evenly spaced to
+    1e-9 s, or TRUTH record k not following IMU sample k * ratio (ratio:
+    IMU samples per camera tick), which is the timing run_filter needs.
     """
     imu_rows, truth_rows, meas_rows = [], [], []
+    imu_lines, truth_lines = [], []
+    truth_imu = []  # index of the IMU sample each TRUTH record follows
     imu_after_truth = None  # line of the first IMU record after the last TRUTH
     with open(path, "r", encoding="utf-8") as fh:
         header = fh.readline().rstrip("\n")
@@ -99,6 +104,7 @@ def read_log(path):
                     f"({exc})") from None
             if kind == "IMU":
                 imu_rows.append(row)
+                imu_lines.append(line_no)
                 imu_after_truth = imu_after_truth or line_no
             elif kind == "TRUTH":
                 if not imu_rows or abs(imu_rows[-1][0] - row[0]) > 1e-9:
@@ -106,6 +112,8 @@ def read_log(path):
                         f"line {line_no}: TRUTH at t={row[0]} is not preceded "
                         f"by an IMU record at its own time")
                 truth_rows.append(row)
+                truth_lines.append(line_no)
+                truth_imu.append(len(imu_rows) - 1)
                 imu_after_truth = None
             else:
                 meas_rows.append((line_no, row[0], parts[2], row[1:]))
@@ -119,6 +127,19 @@ def read_log(path):
     truth_arr = np.array(truth_rows)
     if np.any(np.diff(imu_arr[:, 0]) <= 0) or np.any(np.diff(truth_arr[:, 0]) <= 0):
         raise ReplayLogError("timestamps are not strictly increasing")
+    step = np.diff(imu_arr[:, 0])
+    uneven = np.abs(step - step[:1]) > 1e-9
+    if uneven.any():
+        raise ReplayLogError(f"line {imu_lines[int(uneven.argmax()) + 1]}: "
+                             f"IMU samples are not evenly spaced")
+    ratio = truth_imu[1] if len(truth_imu) > 1 else 0
+    off = np.array(truth_imu) != np.arange(len(truth_imu)) * ratio
+    if off.any():
+        k = int(off.argmax())
+        raise ReplayLogError(
+            f"line {truth_lines[k]}: TRUTH record {k} follows IMU sample "
+            f"{truth_imu[k]}, not sample {k * ratio} (camera ticks must fall "
+            f"evenly on IMU samples)")
     imu = ImuStream(imu_arr[:, 0], imu_arr[:, 1:4], imu_arr[:, 4:7])
     ticks = [[] for _ in range(len(truth_rows))]
     t_cam = truth_arr[:, 0]
@@ -134,7 +155,7 @@ def read_log(path):
                 f"line {line_no}: MEAS at t={t} does not align with any "
                 f"TRUTH tick")
         ticks[k].append(PoseMeasurement(
-            t=t, object_class=obj_class, p_co=np.array(vals[0:3]),
+            object_class=obj_class, p_co=np.array(vals[0:3]),
             q_co=np.array(vals[3:7]), var_p=np.array(vals[7:10]),
             var_theta=np.array(vals[10:13])))
     meas = MeasurementStream(t_cam, ticks, truth_arr[:, 1:4],

@@ -16,8 +16,8 @@ from . import update_inverse as ui
 from .matching import MatchConfig, initialize_object, match, project_measurement
 from .metrics import RunRecord
 from .propagation import ImuNoise, propagate_batch
-from .sim import ImuStream, MeasurementStream
-from .state import CoreState, Extrinsics, FullState
+from .sim import ImuStream, MeasurementStream, camera_forward_extrinsics
+from .state import CoreState, FullState
 
 log = logging.getLogger(__name__)
 
@@ -29,9 +29,9 @@ MODELS = {"direct": ud.DIRECT, "inverse": ui.INVERSE}
 
 @dataclass
 class FilterSetup:
-    """Everything the filter loop needs besides the data streams."""
+    """Everything the filter loop needs besides the data streams; the camera
+    mount is camera_forward_extrinsics()."""
 
-    extrinsics: Extrinsics
     imu_noise: ImuNoise = field(default_factory=ImuNoise)
     filter_type: str = "direct"
     gating: gt.GatingConfig = field(default_factory=gt.GatingConfig)
@@ -49,13 +49,12 @@ class FilterSetup:
                 f"rotation; it cannot gate with {self.gating.method!r}")
 
 
-def _initial_state(meas_stream: MeasurementStream,
-                   setup: FilterSetup) -> tuple:
+def _initial_state(meas_stream: MeasurementStream) -> tuple:
     core = CoreState(meas_stream.truth_pos[0].copy(),
                      meas_stream.truth_vel[0].copy(),
                      meas_stream.truth_quat[0].copy(),
                      np.zeros(3), np.zeros(3))
-    state = FullState(core, setup.extrinsics.copy(), [])
+    state = FullState(core, camera_forward_extrinsics(), [])
     cov = np.eye(st.BASE_DIM) * INIT_VAR
     return state, cov
 
@@ -125,45 +124,49 @@ def run_filter(imu: ImuStream, meas_stream: MeasurementStream,
         raise ValueError(f"camera tick {k} at t={meas_stream.t[k]:.9g} s "
                          f"does not fall on IMU sample {k * ratio}")
 
-    state, cov = _initial_state(meas_stream, setup)
+    state, cov = _initial_state(meas_stream)
     counts = {"accepted": 0, "rejected_all": 0, "rejected_position": 0,
               "rejected_rotation": 0, "degenerate": 0, "updates": 0,
               "skipped_updates": 0, "initialized": 0}
     rec_pe, rec_qe, rec_cp, rec_ca = [], [], [], []
     diverged = False
 
-    for k in range(n_cam + 1):
-        if k > 0:
-            i0, i1 = (k - 1) * ratio, k * ratio
-            # midpoint-representative samples from consecutive endpoints
-            acc = 0.5 * (imu.acc[i0:i1] + imu.acc[i0 + 1:i1 + 1])
-            gyro = 0.5 * (imu.gyro[i0:i1] + imu.gyro[i0 + 1:i1 + 1])
-            state, cov = propagate_batch(state, cov, acc, gyro, dt,
-                                         setup.imu_noise)
+    # a diverging estimate overflows to inf and NaN; the divergence test
+    # below reports that, so numpy's warnings would only repeat it
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(n_cam + 1):
+            if k > 0:
+                i0, i1 = (k - 1) * ratio, k * ratio
+                # midpoint-representative samples from consecutive endpoints
+                acc = 0.5 * (imu.acc[i0:i1] + imu.acc[i0 + 1:i1 + 1])
+                gyro = 0.5 * (imu.gyro[i0:i1] + imu.gyro[i0 + 1:i1 + 1])
+                state, cov = propagate_batch(state, cov, acc, gyro, dt,
+                                             setup.imu_noise)
 
-        frame = meas_stream.ticks[k]
-        if frame:
-            projected = [(project_measurement(state.core, state.extr, m),
-                          m.object_class) for m in frame]
-            pairs, unmatched = match(projected, state.objects, setup.matching)
-            for mi in unmatched:
-                state, cov = initialize_object(state, cov, frame[mi],
-                                               len(state.objects))
-                counts["initialized"] += 1
-            if pairs:
-                state, cov = _update_frame(state, cov, frame, pairs, setup,
-                                           counts)
+            frame = meas_stream.ticks[k]
+            if frame:
+                projected = [(project_measurement(state.core, state.extr, m),
+                              m.object_class) for m in frame]
+                pairs, unmatched = match(projected, state.objects,
+                                         setup.matching)
+                for mi in unmatched:
+                    state, cov = initialize_object(state, cov, frame[mi])
+                    counts["initialized"] += 1
+                if pairs:
+                    state, cov = _update_frame(state, cov, frame, pairs,
+                                               setup, counts)
 
-        rec_pe.append(state.core.p_wi.copy())
-        rec_qe.append(state.core.q_wi.copy())
-        rec_cp.append(cov[st.POS, st.POS].copy())
-        rec_ca.append(cov[st.ATT, st.ATT].copy())
+            rec_pe.append(state.core.p_wi.copy())
+            rec_qe.append(state.core.q_wi.copy())
+            rec_cp.append(cov[st.POS, st.POS].copy())
+            rec_ca.append(cov[st.ATT, st.ATT].copy())
 
-        err = np.linalg.norm(state.core.p_wi - meas_stream.truth_pos[k])
-        if not err <= setup.divergence_bound:
-            diverged = True
-            log.info("diverged at t=%.2f (|e|=%.2f m)", meas_stream.t[k], err)
-            break
+            err = np.linalg.norm(state.core.p_wi - meas_stream.truth_pos[k])
+            if not err <= setup.divergence_bound:
+                diverged = True
+                log.info("diverged at t=%.2f (|e|=%.2f m)", meas_stream.t[k],
+                         err)
+                break
 
     n = len(rec_pe)
     return RunRecord(meas_stream.t[:n].copy(),

@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geom3 import Pose, exp_so3_batch, quat_of, quat_of_batch, rot_of
+from .geom3 import exp_so3_batch, quat_of, quat_of_batch, rot_of
 from .propagation import ImuNoise
 from .state import Extrinsics
 from .update_direct import PoseMeasurement
@@ -153,25 +153,9 @@ def camera_forward_extrinsics() -> Extrinsics:
 
 
 @dataclass
-class WorldObject:
-    obj_id: int
-    obj_class: str
-    pose: Pose
-
-
-@dataclass
-class WorldSpec:
-    objects: list
-
-    def __post_init__(self):
-        ids = [o.obj_id for o in self.objects]
-        if len(set(ids)) != len(ids):
-            raise ValueError("object ids must be unique")
-
-
-@dataclass
 class SensorSpec:
-    """Camera and measurement-noise settings; the IMU rate is gen_imu's."""
+    """Camera and measurement-noise settings; the IMU rate is gen_imu's and
+    the camera mount is camera_forward_extrinsics()."""
 
     cam_rate: float = 20.0
     sigma_p: np.ndarray = field(default_factory=lambda: np.full(3, 0.01))
@@ -185,7 +169,6 @@ class SensorSpec:
     sigma_floor: float = 1e-6
     fov_deg: float = 90.0
     max_range: float = 10.0
-    extrinsics: Extrinsics = field(default_factory=camera_forward_extrinsics)
 
     def __post_init__(self):
         if self.mode not in SIGMA_MODES:
@@ -265,21 +248,22 @@ def gen_imu(traj: TrajectorySpec, noise: ImuNoise, rate: float,
     return ImuStream(t, acc, gyro)
 
 
-def _relative_poses(traj: TrajectorySpec, world: WorldSpec,
-                    extr: Extrinsics, t: np.ndarray):
-    """True (p_co, R_co) for every (tick, object)."""
+def _relative_poses(traj: TrajectorySpec, world: list, t: np.ndarray):
+    """True (p_co, R_co) for every (tick, object) of the world, a list of
+    ObjectState, seen from camera_forward_extrinsics()."""
+    extr = camera_forward_extrinsics()
     rot_wi = traj.rotation(t)
     p_wi = traj.position(t)
     rot_wc = rot_wi @ rot_of(extr.q_ic)
     p_wc = p_wi + np.einsum("nij,j->ni", rot_wi, extr.p_ic)
     n_t = t.shape[0]
-    n_o = len(world.objects)
+    n_o = len(world)
     p_co = np.empty((n_t, n_o, 3))
     rot_co = np.empty((n_t, n_o, 3, 3))
-    for j, obj in enumerate(world.objects):
-        d = obj.pose.p - p_wc
+    for j, obj in enumerate(world):
+        d = obj.p_wo - p_wc
         p_co[:, j] = np.einsum("nji,nj->ni", rot_wc, d)
-        rot_co[:, j] = np.einsum("nji,jk->nik", rot_wc, obj.pose.rot())
+        rot_co[:, j] = np.einsum("nji,jk->nik", rot_wc, rot_of(obj.q_wo))
     return p_co, rot_co
 
 
@@ -294,19 +278,19 @@ def _in_frustum(p_co: np.ndarray, fov_deg: float,
     return near & (np.arccos(cos) <= np.deg2rad(fov_deg) / 2.0)
 
 
-def visibility(traj: TrajectorySpec, world: WorldSpec, t: float,
+def visibility(traj: TrajectorySpec, world: list, t: float,
                fov_deg: float, max_range_m: float) -> list:
-    """Ids of the objects inside the frustum of camera_forward_extrinsics()
-    at time t (see _in_frustum)."""
-    p_co, _ = _relative_poses(traj, world, camera_forward_extrinsics(),
-                              np.atleast_1d(float(t)))
+    """Indices into world of the objects inside the camera's frustum at time
+    t (see _in_frustum)."""
+    p_co, _ = _relative_poses(traj, world, np.atleast_1d(float(t)))
     visible = _in_frustum(p_co[0], fov_deg, max_range_m)
-    return [obj.obj_id for obj, v in zip(world.objects, visible) if v]
+    return [j for j, v in enumerate(visible) if v]
 
 
-def gen_measurements(traj: TrajectorySpec, world: WorldSpec,
+def gen_measurements(traj: TrajectorySpec, world: list,
                      sensor: SensorSpec, seed: int) -> MeasurementStream:
-    """Per camera tick, perturbed relative poses of the visible objects.
+    """Per camera tick, perturbed relative poses of the visible objects of
+    the world, a list of ObjectState.
 
     Translation noise is additive; rotation noise is a right perturbation
     exp_so3(n) in the tangent of the measured rotation. Noise is drawn for
@@ -315,9 +299,8 @@ def gen_measurements(traj: TrajectorySpec, world: WorldSpec,
     """
     n_ticks = int(round(traj.duration * sensor.cam_rate))
     t = np.arange(n_ticks + 1) / sensor.cam_rate
-    extr = sensor.extrinsics
-    p_co, rot_co = _relative_poses(traj, world, extr, t)
-    n_o = len(world.objects)
+    p_co, rot_co = _relative_poses(traj, world, t)
+    n_o = len(world)
     rng = _rng(seed, 1)
     noise_p = rng.standard_normal((n_ticks + 1, n_o, 3))
     noise_r = rng.standard_normal((n_ticks + 1, n_o, 3))
@@ -340,11 +323,11 @@ def gen_measurements(traj: TrajectorySpec, world: WorldSpec,
             rep_p = np.maximum(sensor.sigma_p, floor)
             rep_t = np.maximum(sensor.sigma_theta * inflations[k, 1], floor)
         frame = []
-        for j, obj in enumerate(world.objects):
+        for j, obj in enumerate(world):
             if not visible[k, j]:
                 continue
             frame.append(PoseMeasurement(
-                t=t[k], object_class=obj.obj_class, p_co=p_meas_all[k, j],
+                object_class=obj.obj_class, p_co=p_meas_all[k, j],
                 q_co=q_meas_all[k, j], var_p=rep_p**2, var_theta=rep_t**2))
         ticks.append(frame)
     return MeasurementStream(t, ticks, traj.position(t), traj.velocity(t),

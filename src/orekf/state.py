@@ -12,7 +12,7 @@ as q <- q (x) quat_of(exp_so3(dtheta)).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -79,14 +79,14 @@ class Extrinsics:
 
 @dataclass
 class ObjectState:
-    obj_id: int
+    """An object's class and world pose; its id is its list position."""
+
     obj_class: str
     p_wo: np.ndarray
     q_wo: np.ndarray
 
     def copy(self) -> "ObjectState":
-        return ObjectState(self.obj_id, self.obj_class, self.p_wo.copy(),
-                           self.q_wo.copy())
+        return ObjectState(self.obj_class, self.p_wo.copy(), self.q_wo.copy())
 
 
 @dataclass
@@ -129,21 +129,17 @@ def inject_error(state: FullState, dx: np.ndarray) -> FullState:
         state.extr.p_ic + dx[P_IC],
         _perturb_quat(state.extr.q_ic, dx[ATT_IC]),
     )
-    new_objects = []
-    for i, obj in enumerate(state.objects):
-        new_objects.append(replace(
-            obj,
-            p_wo=obj.p_wo + dx[obj_pos_slice(i)],
-            q_wo=_perturb_quat(obj.q_wo, dx[obj_att_slice(i)]),
-        ))
+    new_objects = [
+        ObjectState(obj.obj_class, obj.p_wo + dx[obj_pos_slice(i)],
+                    _perturb_quat(obj.q_wo, dx[obj_att_slice(i)]))
+        for i, obj in enumerate(state.objects)]
     return FullState(new_core, new_extr, new_objects)
 
 
-def _init_jacobians(state: FullState, p_co: np.ndarray, rot_co: np.ndarray):
+def _init_jacobians(state: FullState, rot_wi: np.ndarray, rot_ic: np.ndarray,
+                    p_co: np.ndarray, rot_co: np.ndarray):
     """Chain-rule Jacobians of a new object's pose error w.r.t. the existing
     error state (h_x) and the measurement noise [n_p, n_theta] (j_n)."""
-    rot_wi = rot_of(state.core.q_wi)
-    rot_ic = rot_of(state.extr.q_ic)
     rot_wc = rot_wi @ rot_ic
     lever = state.extr.p_ic + rot_ic @ p_co
 
@@ -171,18 +167,17 @@ def add_object(state: FullState, cov: np.ndarray, obj: ObjectState,
     pose measurement (position then rotation, camera frame). The new 6x6 block
     and its cross-covariances follow from the chain rule through the current
     robot pose and extrinsics. The object is appended, so the first object
-    added is the anchor.
+    added is the anchor and each id is a list position.
     """
-    if any(o.obj_id == obj.obj_id for o in state.objects):
-        raise ValueError(f"duplicate object id {obj.obj_id}")
     obj = obj.copy()
 
-    rot_wc = rot_of(state.core.q_wi) @ rot_of(state.extr.q_ic)
-    p_co = rot_of(state.extr.q_ic).T @ (
-        -state.extr.p_ic
-        + rot_of(state.core.q_wi).T @ (obj.p_wo - state.core.p_wi))
+    rot_wi = rot_of(state.core.q_wi)
+    rot_ic = rot_of(state.extr.q_ic)
+    rot_wc = rot_wi @ rot_ic
+    p_co = rot_ic.T @ (
+        -state.extr.p_ic + rot_wi.T @ (obj.p_wo - state.core.p_wi))
     rot_co = rot_wc.T @ rot_of(obj.q_wo)
-    h_x, j_n = _init_jacobians(state, p_co, rot_co)
+    h_x, j_n = _init_jacobians(state, rot_wi, rot_ic, p_co, rot_co)
 
     old_dim = state.error_dim
     new_cov = np.zeros((old_dim + 6, old_dim + 6))

@@ -46,10 +46,9 @@ class PoseMeasurement:
 
     var_p / var_theta are the diagonal entries of the position and rotation
     measurement covariances (m^2, rad^2); the rotation block lives in the
-    tangent space of the measured rotation.
+    tangent space of the measured rotation. Its time is its camera tick's.
     """
 
-    t: float
     object_class: str
     p_co: np.ndarray
     q_co: np.ndarray

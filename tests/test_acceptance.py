@@ -14,13 +14,11 @@ from orekf.cli import child_seed, main
 from orekf.gating import GatingConfig, chi2_quantile
 from orekf.geom3 import dR_transpose_sandwich, dR_transpose_vector, exp_so3, \
     log_so3
-from orekf.matching import MatchConfig
 from orekf.metrics import anees, rmse_position
 from orekf.presets import PRESETS, get_preset
 from orekf.propagation import ImuNoise
 from orekf.runner import FilterSetup, run_filter
-from orekf.sim import SensorSpec, camera_forward_extrinsics, gen_imu, \
-    gen_measurements
+from orekf.sim import SensorSpec, gen_imu, gen_measurements
 from tests.test_update_direct import consistent_measurement, fd_jacobian, \
     random_state
 
@@ -30,12 +28,6 @@ GRID_T = (0.0175, 0.0875, 0.175, 0.35)
 # noise model used by the Monte Carlo campaigns (criteria 4, 5b, 7)
 SWEEP_IMU = dict(sigma_acc=0.15, sigma_gyro=0.008)
 EPISODE_IMU = dict(sigma_acc=0.02, sigma_gyro=0.008)
-
-
-def _setup(preset, **kw):
-    kw.setdefault("extrinsics", camera_forward_extrinsics())
-    kw.setdefault("matching", MatchConfig(gate=preset.match_gate))
-    return FilterSetup(**kw)
 
 
 def test_criterion_1_jacobians_match_finite_differences():
@@ -114,8 +106,8 @@ def test_criterion_3_zero_noise_equivalence_on_every_preset():
                                 seed=0)
         rms = {}
         for ftype in ("direct", "inverse"):
-            rec = run_filter(imu, meas, _setup(preset, imu_noise=quiet,
-                                               filter_type=ftype))
+            rec = run_filter(imu, meas, FilterSetup(imu_noise=quiet,
+                                                    filter_type=ftype))
             assert not rec.diverged
             rms[ftype] = rmse_position(rec)
         assert rms["direct"] < 0.02, name
@@ -140,8 +132,8 @@ def _sweep_cell_task(args):
         seed=seed)
     out = {}
     for ftype in ("direct", "inverse"):
-        rec = run_filter(imu, meas, _setup(preset, imu_noise=noise,
-                                           filter_type=ftype))
+        rec = run_filter(imu, meas, FilterSetup(imu_noise=noise,
+                                                filter_type=ftype))
         out[ftype] = float("nan") if rec.diverged else rmse_position(rec)
     return i, j, k, out["direct"], out["inverse"]
 
@@ -206,8 +198,7 @@ def test_criterion_5_consistency_and_misspecification():
         meas = gen_measurements(preset.trajectory, preset.world,
                                 SensorSpec(sigma_p=0.02, sigma_theta=0.05,
                                            mode="exact"), seed=seed)
-        vals.append(anees(run_filter(imu, meas, _setup(preset,
-                                                       imu_noise=noise))))
+        vals.append(anees(run_filter(imu, meas, FilterSetup(imu_noise=noise))))
     exact_anees = float(np.mean(vals))
     assert 0.8 <= exact_anees <= 1.3
 
@@ -223,8 +214,8 @@ def test_criterion_5_consistency_and_misspecification():
             SensorSpec(sigma_p=0.02, sigma_theta=0.0875, mode="fixed",
                        episodes=preset9.episodes, episode_excess=4.0),
             seed=seed)
-        vals_f.append(anees(run_filter(imu, meas, _setup(preset9,
-                                                         imu_noise=noise9))))
+        vals_f.append(anees(run_filter(imu, meas,
+                                       FilterSetup(imu_noise=noise9))))
     fixed_anees = float(np.mean(vals_f))
     assert fixed_anees < 0.5 or fixed_anees > 2.0
     print(f"\nPASS criterion 5: exact-mode position ANEES {exact_anees:.3f} "
@@ -267,8 +258,8 @@ def test_criterion_7_partial_rejection_superiority():
             imu = gen_imu(preset.trajectory, noise, 200.0, seed=seed)
             meas = gen_measurements(preset.trajectory, preset.world,
                                     SensorSpec(**sensor_kw), seed=seed)
-            rec = run_filter(imu, meas, _setup(
-                preset, imu_noise=noise, gating=GatingConfig(method=method)))
+            rec = run_filter(imu, meas, FilterSetup(
+                imu_noise=noise, gating=GatingConfig(method=method)))
             if rec.diverged:
                 div += 1
             else:

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -59,7 +61,7 @@ def configs(draw):
         sigma_theta=draw(triples),
         cam_rate=draw(hs.sampled_from([1.0, 10.0, 20.0, 40.0, 200.0])),
         chi2_alpha=draw(hs.floats(1e-6, 0.999, allow_subnormal=False)),
-        match_gate=draw(hs.none() | positive),
+        match_gate=draw(positive),
         runs_per_cell=draw(hs.integers(1, 1000)),
         sweep_sigma_p=tuple(draw(hs.lists(positive, min_size=1,
                                           max_size=5))),
@@ -276,6 +278,48 @@ class TestReplay:
         with pytest.raises(ReplayLogError, match=f"^line {idx}: TRUTH"):
             read_log(tmp_path / "gap.log")
 
+    @staticmethod
+    def _short_log(tmp_path):
+        """A 1 s preset01 run: its config path and its replay log's lines."""
+        cfg_path = write(tmp_path, "config_version = 1\npreset = preset01\n"
+                                   "duration = 1.0\nseed = 0\n")
+        main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "a")])
+        lines = (tmp_path / "a" / "replay.log").read_text() \
+            .splitlines(keepends=True)
+        return cfg_path, lines
+
+    @staticmethod
+    def _replay_lines(tmp_path, cfg_path, lines):
+        (tmp_path / "bad.log").write_text("".join(lines))
+        return main(["replay", "--config", str(cfg_path),
+                     "--log", str(tmp_path / "bad.log"),
+                     "--out", str(tmp_path / "rep")])
+
+    def test_uneven_imu_spacing_exits_2_with_line_number(self, tmp_path,
+                                                         capsys):
+        cfg_path, lines = self._short_log(tmp_path)
+        idx = [i for i, line in enumerate(lines) if ",IMU," in line][13]
+        t, rest = lines[idx].split(",", 1)
+        lines[idx] = format(float(t) + 1e-4, ".17g") + "," + rest
+        capsys.readouterr()
+        assert self._replay_lines(tmp_path, cfg_path, lines) == 2
+        assert capsys.readouterr().err.startswith(
+            f"error: line {idx + 1}: IMU samples are not evenly spaced")
+
+    def test_missing_camera_tick_exits_2_with_line_number(self, tmp_path,
+                                                          capsys):
+        cfg_path, lines = self._short_log(tmp_path)
+        truth = [i for i, line in enumerate(lines) if ",TRUTH," in line]
+        # drop tick 5's TRUTH and MEAS records; tick 6 becomes the fifth
+        nxt = next(i for i in range(truth[5], truth[6]) if ",IMU," in lines[i])
+        del lines[truth[5]:nxt]
+        capsys.readouterr()
+        assert self._replay_lines(tmp_path, cfg_path, lines) == 2
+        line = truth[6] - (nxt - truth[5]) + 1
+        assert capsys.readouterr().err.startswith(
+            f"error: line {line}: TRUTH record 5 follows IMU sample 60, "
+            f"not sample 50")
+
     def test_misaligned_measurement_raises_with_line_number(self, tmp_path):
         cfg = parse_config(write(tmp_path, BASE_CONFIG))
         imu, meas, _ = execute_run(cfg, cfg.seed)
@@ -294,8 +338,8 @@ class TestReplay:
         imu, meas, _ = execute_run(cfg, cfg.seed)
         write_log(tmp_path / "r.log", imu, meas)
         _, meas2 = read_log(tmp_path / "r.log")
-        assert [[m.t for m in f] for f in meas2.ticks] \
-            == [[m.t for m in f] for f in meas.ticks]
+        assert [[m.p_co.tolist() for m in f] for f in meas2.ticks] \
+            == [[m.p_co.tolist() for m in f] for f in meas.ticks]
 
     def test_version_mismatch_raises(self, tmp_path):
         path = tmp_path / "bad.log"
@@ -303,27 +347,21 @@ class TestReplay:
         with pytest.raises(ReplayLogError, match="header"):
             read_log(path)
 
+    @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("column", [2, 5], ids=["acc", "gyro"])
     def test_extreme_imu_value_replays_as_diverged(self, tmp_path, capsys,
                                                    column):
-        cfg_path = write(tmp_path, "config_version = 1\npreset = preset01\n"
-                                   "duration = 1.0\nseed = 0\n")
-        main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "a")])
+        cfg_path, lines = self._short_log(tmp_path)
         capsys.readouterr()
-        lines = (tmp_path / "a" / "replay.log").read_text() \
-            .splitlines(keepends=True)
         imu = [i for i, line in enumerate(lines) if ",IMU," in line]
         for n in (0, 1, 100, len(imu) - 1):
             parts = lines[imu[n]].split(",")
             parts[column] = "1e300"
             bad = lines[:imu[n]] + [",".join(parts)] + lines[imu[n] + 1:]
-            (tmp_path / "bad.log").write_text("".join(bad))
-            with np.errstate(all="ignore"):
-                code = main(["replay", "--config", str(cfg_path),
-                             "--log", str(tmp_path / "bad.log"),
-                             "--out", str(tmp_path / "rep")])
-            assert code == 0, n
-            assert capsys.readouterr().out.startswith("DIVERGED"), n
+            assert self._replay_lines(tmp_path, cfg_path, bad) == 0, n
+            out = capsys.readouterr()
+            assert out.out.startswith("DIVERGED"), n
+            assert out.err == "", n
 
     def test_replay_cli_matches_run_cli(self, tmp_path):
         cfg_path = write(tmp_path, BASE_CONFIG)
@@ -356,7 +394,9 @@ class TestSweep:
         for k in range(2):
             seed, met = results[(0, 0, k)]
             assert seed == child_seed(cfg.seed, 0, 0, k)
-            _, _, record = execute_run(cfg, seed, (0.02,) * 3, (0.05,) * 3)
+            _, _, record = execute_run(
+                replace(cfg, sigma_p=(0.02,) * 3, sigma_theta=(0.05,) * 3),
+                seed)
             assert abs(met["rmse_position_m"] - rmse_position(record)) < 1e-15
 
     def test_parallel_equals_serial(self, tmp_path):

@@ -19,7 +19,6 @@ from orekf import update_direct as ud
 from orekf import update_inverse as ui
 from orekf.geom3 import exp_so3, quat_mul, quat_of
 from orekf.runner import FilterSetup, _update_frame
-from orekf.sim import camera_forward_extrinsics
 from orekf.state import inject_error, symmetrize
 from tests.test_update_direct import consistent_measurement, random_state
 
@@ -183,7 +182,7 @@ def test_frame_pass_matches_per_match_reference(case):
     n_matches = min(n_matches, n_objects)
     state, cov, frame, pairs = random_frame(seed, n_objects, n_matches,
                                             spread, n_degenerate)
-    setup = FilterSetup(camera_forward_extrinsics(), filter_type=ftype,
+    setup = FilterSetup(filter_type=ftype,
                         gating=gt.GatingConfig(method=method))
     direct = ftype == "direct"
     blocks = [reference_block(state, oi, frame[mi], direct)
@@ -272,7 +271,7 @@ def test_degenerate_rows_are_never_kept():
         ud.build_stacked(state, matches, keep_rot)
     for ftype, verdict in (("direct", gt.Verdict.REJECT_ROTATION),
                            ("inverse", gt.Verdict.REJECT_ALL)):
-        setup = FilterSetup(camera_forward_extrinsics(), filter_type=ftype)
+        setup = FilterSetup(filter_type=ftype)
         counts = dict.fromkeys(COUNT_KEYS, 0)
         _update_frame(state, cov, frame, pairs, setup, counts)
         assert counts["degenerate"] == 1

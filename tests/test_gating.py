@@ -43,7 +43,7 @@ def quantile_oracle(dof, prob, tol=1e-10):
 
 
 def meas(sig_p, sig_t):
-    return PoseMeasurement(0.0, "box", np.zeros(3), QUAT_IDENTITY.copy(),
+    return PoseMeasurement("box", np.zeros(3), QUAT_IDENTITY.copy(),
                            np.asarray(sig_p, dtype=float) ** 2,
                            np.asarray(sig_t, dtype=float) ** 2)
 

@@ -13,7 +13,7 @@ from tests.test_update_direct import identity_state, random_state
 
 
 def measurement(p, q=None, var=1e-4, obj_class="box"):
-    return PoseMeasurement(0.0, obj_class, np.asarray(p, dtype=float),
+    return PoseMeasurement(obj_class, np.asarray(p, dtype=float),
                            QUAT_IDENTITY.copy() if q is None else q,
                            np.full(3, var), np.full(3, var))
 
@@ -48,7 +48,7 @@ class TestProjectMeasurement:
 
 class TestMatch:
     def test_single_in_gate_matches(self):
-        objects = [ObjectState(0, "box", np.array([1.0, 0, 0]),
+        objects = [ObjectState("box", np.array([1.0, 0, 0]),
                                QUAT_IDENTITY.copy())]
         projected = [(Pose(np.array([1.05, 0, 0]), QUAT_IDENTITY.copy()), "box")]
         pairs, unmatched = match(projected, objects, MatchConfig())
@@ -56,7 +56,7 @@ class TestMatch:
         assert unmatched == []
 
     def test_class_mismatch_goes_unmatched(self):
-        objects = [ObjectState(0, "mug", np.array([1.0, 0, 0]),
+        objects = [ObjectState("mug", np.array([1.0, 0, 0]),
                                QUAT_IDENTITY.copy())]
         projected = [(Pose(np.array([1.0, 0, 0]), QUAT_IDENTITY.copy()), "box")]
         pairs, unmatched = match(projected, objects, MatchConfig())
@@ -64,7 +64,7 @@ class TestMatch:
         assert unmatched == [0]
 
     def test_cost_above_gate_goes_unmatched(self):
-        objects = [ObjectState(0, "box", np.array([5.0, 0, 0]),
+        objects = [ObjectState("box", np.array([5.0, 0, 0]),
                                QUAT_IDENTITY.copy())]
         projected = [(Pose(np.array([1.0, 0, 0]), QUAT_IDENTITY.copy()), "box")]
         pairs, unmatched = match(projected, objects, MatchConfig(gate=1.0))
@@ -73,7 +73,7 @@ class TestMatch:
 
     def test_empty_inputs(self):
         assert match([], [], MatchConfig()) == ([], [])
-        objects = [ObjectState(0, "box", np.zeros(3), QUAT_IDENTITY.copy())]
+        objects = [ObjectState("box", np.zeros(3), QUAT_IDENTITY.copy())]
         assert match([], objects, MatchConfig()) == ([], [])
 
     def test_assignment_matches_brute_force(self):
@@ -81,7 +81,7 @@ class TestMatch:
         cfg = MatchConfig(gate=100.0)
         for _ in range(30):
             n = 3
-            objects = [ObjectState(j, "box", rng.normal(size=3),
+            objects = [ObjectState("box", rng.normal(size=3),
                                    quat_of(exp_so3(rng.normal(size=3))))
                        for j in range(n)]
             projected = [(Pose(rng.normal(size=3),
@@ -105,7 +105,7 @@ class TestMatch:
         rng = np.random.default_rng(2)
         cfg = MatchConfig(gate=1e6)
         for n in (2, 4, 6):
-            objects = [ObjectState(j, "box", rng.normal(size=3) * 3,
+            objects = [ObjectState("box", rng.normal(size=3) * 3,
                                    QUAT_IDENTITY.copy())
                        for j in range(n)]
             projected = [(Pose(rng.normal(size=3) * 3, QUAT_IDENTITY.copy()),
@@ -119,7 +119,7 @@ class TestMatch:
 
     def test_deterministic(self):
         rng = np.random.default_rng(3)
-        objects = [ObjectState(j, "box", rng.normal(size=3),
+        objects = [ObjectState("box", rng.normal(size=3),
                                QUAT_IDENTITY.copy()) for j in range(4)]
         projected = [(Pose(rng.normal(size=3), QUAT_IDENTITY.copy()), "box")
                      for _ in range(4)]
@@ -133,7 +133,7 @@ class TestInitializeObject:
         s = identity_state()
         s.objects = []  # start with no objects
         cov = np.eye(21) * 1e-6
-        s2, cov2 = initialize_object(s, cov, measurement([2.0, 0, 0]), 0)
+        s2, cov2 = initialize_object(s, cov, measurement([2.0, 0, 0]))
         assert cov2.shape == (27, 27)
 
     def test_pose_equals_projection(self):
@@ -141,11 +141,11 @@ class TestInitializeObject:
         s = random_state(rng, 0)
         meas = measurement(rng.normal(size=3),
                            quat_of(exp_so3(rng.normal(size=3))))
-        s2, _ = initialize_object(s, np.eye(21) * 1e-6, meas, 7)
+        s2, _ = initialize_object(s, np.eye(21) * 1e-6, meas)
         pose = project_measurement(s.core, s.extr, meas)
         assert_allclose(s2.objects[0].p_wo, pose.p)
         assert_allclose(s2.objects[0].q_wo, pose.q)
-        assert s2.objects[0].obj_id == 7
+        assert len(s2.objects) == 1
         assert s2.objects[0].obj_class == "box"
 
     def test_new_covariance_block_psd(self):
@@ -153,5 +153,5 @@ class TestInitializeObject:
         s = random_state(rng, 0)
         a = rng.normal(size=(21, 21))
         cov = a @ a.T * 1e-4
-        _, cov2 = initialize_object(s, cov, measurement(rng.normal(size=3)), 0)
+        _, cov2 = initialize_object(s, cov, measurement(rng.normal(size=3)))
         assert np.min(np.linalg.eigvalsh(cov2)) > -1e-9

@@ -20,7 +20,7 @@ def test_objects_visible_throughout(name):
     preset = get_preset(name)
     meas = gen_measurements(preset.trajectory, preset.world,
                             SensorSpec(sigma_p=0.0, sigma_theta=0.0), seed=0)
-    n_obj = len(preset.world.objects)
+    n_obj = len(preset.world)
     # every object seen at the first tick (anchor exists from t = 0) and
     # visibility stays high across the run
     assert len(meas.ticks[0]) == n_obj

@@ -188,7 +188,7 @@ def test_batch_matches_repeated_single_steps():
                      quat_of(exp_so3(rng.normal(size=3))),
                      0.01 * rng.normal(size=3), 0.01 * rng.normal(size=3))
     s = FullState(core, Extrinsics(np.zeros(3), QUAT_IDENTITY.copy()),
-                  [ObjectState(0, "box", rng.normal(size=3),
+                  [ObjectState("box", rng.normal(size=3),
                                QUAT_IDENTITY.copy())])
     a = rng.normal(size=(27, 27))
     cov = a @ a.T * 1e-4

@@ -2,23 +2,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hs
-from numpy.testing import assert_allclose
 
 from orekf.gating import METHODS, PARTIAL_METHODS, GatingConfig
-from orekf.geom3 import Pose, QUAT_IDENTITY, exp_so3, quat_mul, quat_of
-from orekf.matching import MatchConfig
+from orekf.geom3 import exp_so3, quat_mul, quat_of
 from orekf.propagation import ImuNoise
 from orekf.runner import MODELS, FilterSetup, run_filter
 from orekf.sim import ImuStream, MeasurementStream, SensorSpec, \
-    TrajectorySpec, WorldObject, WorldSpec, camera_forward_extrinsics, \
-    gen_imu, gen_measurements
+    TrajectorySpec, gen_imu, gen_measurements
 from tests.test_sim import lively_traj, single_object_world
-
-
-def default_setup(**kw):
-    kw.setdefault("extrinsics", camera_forward_extrinsics())
-    kw.setdefault("matching", MatchConfig(gate=6.0))
-    return FilterSetup(**kw)
 
 
 def empty_ticks(meas: MeasurementStream) -> MeasurementStream:
@@ -39,7 +30,7 @@ class TestDeadReckoning:
         imu = gen_imu(traj, quiet, 200.0, seed=0)
         meas = empty_ticks(gen_measurements(traj, single_object_world(),
                                             SensorSpec(), seed=0))
-        rec = run_filter(imu, meas, default_setup(imu_noise=quiet))
+        rec = run_filter(imu, meas, FilterSetup(imu_noise=quiet))
         err = np.linalg.norm(rec.p_est - rec.p_true, axis=1)
         assert np.max(err) < 1e-3
 
@@ -52,7 +43,7 @@ class TestClosedLoop:
         meas = gen_measurements(traj, single_object_world(),
                                 SensorSpec(sigma_p=0.02, sigma_theta=0.05),
                                 seed=1)
-        rec = run_filter(imu, meas, default_setup(imu_noise=noise))
+        rec = run_filter(imu, meas, FilterSetup(imu_noise=noise))
         norms = np.linalg.norm(rec.q_est, axis=1)
         assert np.max(np.abs(norms - 1.0)) < 1e-9
         for k in (10, 50, 100):
@@ -65,8 +56,8 @@ class TestClosedLoop:
         meas = gen_measurements(traj, single_object_world(),
                                 SensorSpec(sigma_p=0.02, sigma_theta=0.05),
                                 seed=2)
-        r1 = run_filter(imu, meas, default_setup(imu_noise=noise))
-        r2 = run_filter(imu, meas, default_setup(imu_noise=noise))
+        r1 = run_filter(imu, meas, FilterSetup(imu_noise=noise))
+        r2 = run_filter(imu, meas, FilterSetup(imu_noise=noise))
         assert np.array_equal(r1.p_est, r2.p_est)
         assert np.array_equal(r1.q_est, r2.q_est)
         assert np.array_equal(r1.cov_pos, r2.cov_pos)
@@ -78,11 +69,12 @@ class TestClosedLoop:
         meas = gen_measurements(traj, single_object_world(),
                                 SensorSpec(sigma_p=0.02, sigma_theta=0.05),
                                 seed=3)
-        rec = run_filter(imu, meas, default_setup(
+        rec = run_filter(imu, meas, FilterSetup(
             imu_noise=noise, divergence_bound=1e-4))
         assert rec.diverged
         assert rec.n_ticks < len(meas.t)
 
+    @pytest.mark.filterwarnings("error")
     def test_nan_estimate_is_divergence(self):
         traj = lively_traj(2.0)
         noise = ImuNoise()
@@ -91,10 +83,22 @@ class TestClosedLoop:
         meas = gen_measurements(traj, single_object_world(),
                                 SensorSpec(sigma_p=0.02, sigma_theta=0.05),
                                 seed=3)
-        with np.errstate(invalid="ignore"):
-            rec = run_filter(imu, meas, default_setup(imu_noise=noise))
+        rec = run_filter(imu, meas, FilterSetup(imu_noise=noise))
         assert rec.diverged
         assert rec.n_ticks == 6  # ticks 0 to 5
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("sample", [1, 100])
+    def test_overflowing_rate_diverges_without_warnings(self, sample):
+        traj = lively_traj(1.0)
+        noise = ImuNoise()
+        imu = gen_imu(traj, noise, 200.0, seed=3)
+        imu.gyro[sample, 0] = 1e300
+        meas = gen_measurements(traj, single_object_world(),
+                                SensorSpec(sigma_p=0.02, sigma_theta=0.05),
+                                seed=3)
+        rec = run_filter(imu, meas, FilterSetup(imu_noise=noise))
+        assert rec.diverged
 
     def test_late_first_sight_initializes_anchor_late(self):
         traj = lively_traj(3.0)
@@ -107,7 +111,7 @@ class TestClosedLoop:
         ticks = [([] if k < 20 else f) for k, f in enumerate(meas.ticks)]
         meas2 = MeasurementStream(meas.t, ticks, meas.truth_pos,
                                   meas.truth_vel, meas.truth_quat)
-        rec = run_filter(imu, meas2, default_setup(imu_noise=noise))
+        rec = run_filter(imu, meas2, FilterSetup(imu_noise=noise))
         assert rec.counts["initialized"] == 1
         assert not rec.diverged
 
@@ -125,7 +129,7 @@ class TestClosedLoop:
                 continue
             for m in frame:
                 m.q_co = quat_mul(m.q_co, flip)
-        rec = run_filter(imu, meas, default_setup(imu_noise=quiet))
+        rec = run_filter(imu, meas, FilterSetup(imu_noise=quiet))
         assert rec.counts["rejected_rotation"] > 0
         assert rec.counts["updates"] > 0
         assert not rec.diverged
@@ -138,7 +142,7 @@ class TestClosedLoop:
         meas = gen_measurements(traj, single_object_world(), SensorSpec(),
                                 seed=6)
         with pytest.raises(ValueError):
-            run_filter(imu, meas, default_setup(imu_noise=noise))
+            run_filter(imu, meas, FilterSetup(imu_noise=noise))
 
 
 class TestEdgeCases:
@@ -148,7 +152,7 @@ class TestEdgeCases:
         empty = MeasurementStream(np.zeros(0), [], np.zeros((0, 3)),
                                   np.zeros((0, 3)), np.zeros((0, 4)))
         with pytest.raises(ValueError, match="empty"):
-            run_filter(imu, empty, default_setup())
+            run_filter(imu, empty, FilterSetup())
 
     def test_imu_stream_shorter_than_camera_stream_is_rejected(self):
         # 201 IMU samples over 1 s against 41 camera ticks over 2 s: the
@@ -157,7 +161,7 @@ class TestEdgeCases:
         meas = gen_measurements(lively_traj(2.0), single_object_world(),
                                 SensorSpec(), seed=8)
         with pytest.raises(ValueError, match="camera tick 1 at t=0.05 "):
-            run_filter(imu, meas, default_setup())
+            run_filter(imu, meas, FilterSetup())
 
     def test_uneven_imu_spacing_is_rejected(self):
         traj = lively_traj(1.0)
@@ -168,7 +172,7 @@ class TestEdgeCases:
                                 seed=8)
         with pytest.raises(ValueError, match="evenly spaced"):
             run_filter(ImuStream(t, imu.acc, imu.gyro), meas,
-                       default_setup())
+                       FilterSetup())
 
     @settings(max_examples=10, deadline=None)
     @given(hs.integers(0, 2**32 - 1), hs.sampled_from([0.05, 0.4, 1.0]))
@@ -179,7 +183,7 @@ class TestEdgeCases:
         imu = gen_imu(traj, noise, 200.0, seed)
         meas = empty_ticks(gen_measurements(traj, single_object_world(),
                                             SensorSpec(), seed))
-        recs = [run_filter(imu, meas, default_setup(
+        recs = [run_filter(imu, meas, FilterSetup(
                     imu_noise=noise, filter_type=ftype,
                     gating=GatingConfig(method=method)))
                 for ftype, method in SETUPS]
@@ -202,7 +206,7 @@ class TestEdgeCases:
                                 SensorSpec(), seed)
         assert len(meas.t) == 1
         ftype, method = setup
-        rec = run_filter(imu, meas, default_setup(
+        rec = run_filter(imu, meas, FilterSetup(
             filter_type=ftype, gating=GatingConfig(method=method)))
         assert rec.n_ticks == 1 and not rec.diverged
         assert np.array_equal(rec.p_est[0], meas.truth_pos[0])
@@ -216,17 +220,17 @@ class TestSetupValidation:
     def test_inverse_filter_rejects_partial_gating(self):
         for method in ("chi2p", "aorp"):
             with pytest.raises(ValueError):
-                default_setup(filter_type="inverse",
-                              gating=GatingConfig(method=method))
+                FilterSetup(filter_type="inverse",
+                            gating=GatingConfig(method=method))
 
     def test_inverse_filter_accepts_full_gating(self):
         for method in ("none", "chi2", "aor"):
-            default_setup(filter_type="inverse",
-                          gating=GatingConfig(method=method))
+            FilterSetup(filter_type="inverse",
+                        gating=GatingConfig(method=method))
 
     def test_unknown_filter_type(self):
         with pytest.raises(ValueError):
-            default_setup(filter_type="ukf")
+            FilterSetup(filter_type="ukf")
 
 
 class TestInverseEquivalenceZeroNoise:
@@ -240,8 +244,8 @@ class TestInverseEquivalenceZeroNoise:
         from orekf.metrics import rmse_position
         rms = {}
         for ftype in ("direct", "inverse"):
-            rec = run_filter(imu, meas, default_setup(imu_noise=quiet,
-                                                      filter_type=ftype))
+            rec = run_filter(imu, meas, FilterSetup(imu_noise=quiet,
+                                                    filter_type=ftype))
             rms[ftype] = rmse_position(rec)
         assert rms["direct"] < 0.001
         assert rms["inverse"] < 0.001

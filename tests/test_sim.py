@@ -10,13 +10,12 @@ from orekf.propagation import ImuNoise
 from orekf.sim import (
     SensorSpec,
     TrajectorySpec,
-    WorldObject,
-    WorldSpec,
     camera_forward_extrinsics,
     gen_imu,
     gen_measurements,
     visibility,
 )
+from orekf.state import ObjectState
 
 G = np.array([0.0, 0.0, 9.81])
 
@@ -32,8 +31,8 @@ def lively_traj(duration=10.0):
 
 
 def single_object_world(p=(1.5, 0.0, 0.0)):
-    return WorldSpec([WorldObject(0, "box", Pose(np.asarray(p, dtype=float),
-                                                 QUAT_IDENTITY.copy()))])
+    return [ObjectState("box", np.asarray(p, dtype=float),
+                        QUAT_IDENTITY.copy())]
 
 
 class TestTrajectory:
@@ -142,24 +141,24 @@ class TestGenMeasurements:
         sensor = SensorSpec(fov_deg=70.0, max_range=4.0)
         stream = gen_measurements(scenario.trajectory, scenario.world,
                                   sensor, seed=0)
-        classes = {o.obj_id: o.obj_class for o in scenario.world.objects}
         for tk, frame in zip(stream.t, stream.ticks):
             ids = visibility(scenario.trajectory, scenario.world, tk,
                              sensor.fov_deg, sensor.max_range)
             assert [m.object_class for m in frame] \
-                == [classes[i] for i in ids]
+                == [scenario.world[i].obj_class for i in ids]
 
     def test_zero_sigma_gives_exact_relative_pose(self):
         traj = lively_traj(2.0)
         world = single_object_world()
         sensor = SensorSpec(sigma_p=0.0, sigma_theta=0.0)
         stream = gen_measurements(traj, world, sensor, seed=0)
-        extr = sensor.extrinsics
+        extr = camera_forward_extrinsics()
+        obj_pose = Pose(world[0].p_wo, world[0].q_wo)
         for k in (0, 10, 35):
             m = stream.ticks[k][0]
             t_wi = Pose(stream.truth_pos[k], stream.truth_quat[k])
             t_wc = t_wi.compose(Pose(extr.p_ic, extr.q_ic))
-            t_co = t_wc.inverse().compose(world.objects[0].pose)
+            t_co = t_wc.inverse().compose(obj_pose)
             assert_allclose(m.p_co, t_co.p, atol=1e-12)
             assert_allclose(m.q_co, t_co.q, atol=1e-12)
             assert_allclose(m.var_p, sensor.sigma_floor**2)
@@ -180,14 +179,15 @@ class TestGenMeasurements:
         world = single_object_world()
         sigma_p = 0.03
         sensor = SensorSpec(sigma_p=sigma_p, sigma_theta=0.02)
-        extr = sensor.extrinsics
+        extr = camera_forward_extrinsics()
+        obj_pose = Pose(world[0].p_wo, world[0].q_wo)
         errs = []
         for seed in range(50):
             stream = gen_measurements(traj, world, sensor, seed=seed)
             for k in range(len(stream.t)):
                 t_wi = Pose(stream.truth_pos[k], stream.truth_quat[k])
                 t_wc = t_wi.compose(Pose(extr.p_ic, extr.q_ic))
-                t_co = t_wc.inverse().compose(world.objects[0].pose)
+                t_co = t_wc.inverse().compose(obj_pose)
                 errs.append(stream.ticks[k][0].p_co - t_co.p)
         errs = np.array(errs)
         assert errs.shape[0] > 10_000
@@ -203,7 +203,7 @@ class TestGenMeasurements:
         world = single_object_world((2.1, 0.0, 0.0))
         sigma = 0.05
         sensor = SensorSpec(sigma_p=0.0, sigma_theta=sigma)
-        true_rot = rot_of(sensor.extrinsics.q_ic).T  # R_co for this scene
+        true_rot = rot_of(camera_forward_extrinsics().q_ic).T  # R_co here
         angles = []
         for seed in range(50):
             stream = gen_measurements(traj, world, sensor, seed=seed)
@@ -261,6 +261,3 @@ class TestGenMeasurements:
     def test_spec_validation(self):
         with pytest.raises(ValueError):
             SensorSpec(mode="bogus")
-        with pytest.raises(ValueError):
-            WorldSpec([WorldObject(0, "a", Pose.identity()),
-                       WorldObject(0, "b", Pose.identity())])

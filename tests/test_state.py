@@ -19,7 +19,7 @@ def identity_state(n_objects=0):
                      np.zeros(3), np.zeros(3))
     extr = Extrinsics(np.zeros(3), QUAT_IDENTITY.copy())
     objects = [
-        ObjectState(i, "box", np.array([1.0 + i, 0.0, 0.0]),
+        ObjectState("box", np.array([1.0 + i, 0.0, 0.0]),
                     QUAT_IDENTITY.copy())
         for i in range(n_objects)
     ]
@@ -33,7 +33,7 @@ def random_state(rng, n_objects=2):
     extr = Extrinsics(0.1 * rng.normal(size=3),
                       quat_of(exp_so3(0.2 * rng.normal(size=3))))
     objects = [
-        ObjectState(i, "box", rng.normal(size=3) + np.array([2.0, 0, 0]),
+        ObjectState("box", rng.normal(size=3) + np.array([2.0, 0, 0]),
                     quat_of(exp_so3(rng.normal(size=3))))
         for i in range(n_objects)
     ]
@@ -90,9 +90,9 @@ class TestAddObject:
     def test_first_object_becomes_anchor(self):
         s = identity_state()
         cov = np.eye(21) * 1e-6
-        obj = ObjectState(0, "mug", np.array([1.0, 0, 0]), QUAT_IDENTITY.copy())
+        obj = ObjectState("mug", np.array([1.0, 0, 0]), QUAT_IDENTITY.copy())
         s2, cov2 = add_object(s, cov, obj, np.eye(6) * 1e-4)
-        s3, _ = add_object(s2, cov2, ObjectState(1, "box", np.ones(3),
+        s3, _ = add_object(s2, cov2, ObjectState("box", np.ones(3),
                                                  QUAT_IDENTITY.copy()),
                            np.eye(6) * 1e-4)
         # objects are appended: the first one added stays object 0
@@ -101,17 +101,10 @@ class TestAddObject:
     def test_dimension_growth(self):
         s = identity_state()
         cov = np.eye(21) * 1e-6
-        obj = ObjectState(0, "mug", np.array([1.0, 0, 0]), QUAT_IDENTITY.copy())
+        obj = ObjectState("mug", np.array([1.0, 0, 0]), QUAT_IDENTITY.copy())
         s2, cov2 = add_object(s, cov, obj, np.eye(6))
         assert s2.error_dim == 27
         assert cov2.shape == (27, 27)
-
-    def test_duplicate_id_rejected(self):
-        s = identity_state(1)
-        with pytest.raises(ValueError):
-            add_object(s, np.eye(27), ObjectState(0, "box", np.ones(3),
-                                                  QUAT_IDENTITY.copy()),
-                       np.eye(6))
 
     def test_cross_covariance_chain_rule_identity_robot(self):
         # hand-derived init Jacobian for an identity-pose robot/extrinsics:
@@ -122,7 +115,7 @@ class TestAddObject:
         cov = a @ a.T * 1e-4
         s = identity_state()
         p_wo = np.array([1.5, -0.2, 0.3])
-        obj = ObjectState(0, "mug", p_wo, QUAT_IDENTITY.copy())
+        obj = ObjectState("mug", p_wo, QUAT_IDENTITY.copy())
         meas_cov = np.diag(rng.uniform(0.01, 0.02, size=6))
         _, cov2 = add_object(s, cov, obj, meas_cov)
 
@@ -141,7 +134,7 @@ class TestAddObject:
         s = random_state(rng, n_objects=0)
         a = rng.normal(size=(21, 21))
         cov = a @ a.T * 1e-3
-        obj = ObjectState(0, "box", rng.normal(size=3), quat_of(exp_so3(rng.normal(size=3))))
+        obj = ObjectState("box", rng.normal(size=3), quat_of(exp_so3(rng.normal(size=3))))
         _, cov2 = add_object(s, cov, obj, np.diag(rng.uniform(1e-4, 1e-2, 6)))
         assert np.min(np.linalg.eigvalsh(cov2)) > -1e-9
         assert_allclose(cov2, cov2.T, atol=1e-12)

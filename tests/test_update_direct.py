@@ -40,7 +40,7 @@ def random_state(rng, n_objects=2):
     extr = Extrinsics(0.2 * rng.normal(size=3),
                       quat_of(exp_so3(0.5 * rng.normal(size=3))))
     objects = [
-        ObjectState(i, "box", rng.normal(size=3) * 2.0,
+        ObjectState("box", rng.normal(size=3) * 2.0,
                     quat_of(exp_so3(rng.normal(size=3))))
         for i in range(n_objects)
     ]
@@ -50,7 +50,7 @@ def random_state(rng, n_objects=2):
 def consistent_measurement(state, obj_index, var=1e-4):
     obj = state.objects[obj_index]
     return PoseMeasurement(
-        0.0, obj.obj_class,
+        obj.obj_class,
         predicted_relative_position(state.core, state.extr, obj),
         predicted_relative_quat(state.core, state.extr, obj),
         np.full(3, var), np.full(3, var))
@@ -60,7 +60,7 @@ def identity_state(p_wo=(1.0, 0.0, 0.0)):
     core = CoreState(np.zeros(3), np.zeros(3), QUAT_IDENTITY.copy(),
                      np.zeros(3), np.zeros(3))
     extr = Extrinsics(np.zeros(3), QUAT_IDENTITY.copy())
-    obj = ObjectState(0, "box", np.asarray(p_wo, dtype=float),
+    obj = ObjectState("box", np.asarray(p_wo, dtype=float),
                       QUAT_IDENTITY.copy())
     return FullState(core, extr, [obj])
 
@@ -78,7 +78,7 @@ class TestResiduals:
 
     def test_identity_direct_subtraction(self):
         s = identity_state()
-        meas = PoseMeasurement(0.0, "box", np.array([1.1, 0, 0]),
+        meas = PoseMeasurement("box", np.array([1.1, 0, 0]),
                                QUAT_IDENTITY.copy(), np.ones(3), np.ones(3))
         assert_allclose(residual_position(s.core, s.extr, s.objects[0], meas),
                         [0.1, 0, 0], atol=1e-14)
@@ -86,7 +86,7 @@ class TestResiduals:
     def test_rotation_residual_small_angle_form(self):
         s = identity_state()
         yaw = np.deg2rad(10.0)
-        meas = PoseMeasurement(0.0, "box", np.array([1.0, 0, 0]),
+        meas = PoseMeasurement("box", np.array([1.0, 0, 0]),
                                quat_of(exp_so3([0, 0, yaw])),
                                np.ones(3), np.ones(3))
         r = residual_rotation(s.core, s.extr, s.objects[0], meas)
@@ -102,7 +102,7 @@ class TestResiduals:
             q_meas = quat_mul(predicted_relative_quat(s.core, s.extr,
                                                       s.objects[0]),
                               quat_of(exp_so3(angle * axis)))
-            meas = PoseMeasurement(0.0, "box", np.zeros(3), q_meas,
+            meas = PoseMeasurement("box", np.zeros(3), q_meas,
                                    np.ones(3), np.ones(3))
             r = residual_rotation(s.core, s.extr, s.objects[0], meas)
             # 2 tan(theta/2) u vs theta u: cubic discrepancy
@@ -111,7 +111,7 @@ class TestResiduals:
     def test_degenerate_near_pi_raises(self):
         s = identity_state()
         q_meas = quat_of(exp_so3([0, 0, np.pi - 1e-9]))
-        meas = PoseMeasurement(0.0, "box", np.zeros(3), q_meas,
+        meas = PoseMeasurement("box", np.zeros(3), q_meas,
                                np.ones(3), np.ones(3))
         with pytest.raises(DegenerateRotationError):
             residual_rotation(s.core, s.extr, s.objects[0], meas)
@@ -120,9 +120,9 @@ class TestResiduals:
         rng = np.random.default_rng(2)
         s = random_state(rng, 1)
         p = rng.normal(size=3)
-        m1 = PoseMeasurement(0.0, "box", p, QUAT_IDENTITY.copy(),
+        m1 = PoseMeasurement("box", p, QUAT_IDENTITY.copy(),
                              np.ones(3), np.ones(3))
-        m2 = PoseMeasurement(0.0, "box", p, quat_of(exp_so3(rng.normal(size=3))),
+        m2 = PoseMeasurement("box", p, quat_of(exp_so3(rng.normal(size=3))),
                              np.ones(3), np.ones(3))
         r1 = residual_position(s.core, s.extr, s.objects[0], m1)
         r2 = residual_position(s.core, s.extr, s.objects[0], m2)
@@ -344,5 +344,5 @@ class TestEkfUpdate:
 
 def test_measurement_validation():
     with pytest.raises(ValueError):
-        PoseMeasurement(0.0, "box", np.zeros(3), QUAT_IDENTITY.copy(),
+        PoseMeasurement("box", np.zeros(3), QUAT_IDENTITY.copy(),
                         np.zeros(3), np.ones(3))

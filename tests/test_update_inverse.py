@@ -19,7 +19,7 @@ def inverted_consistent(state, obj_index, var=1e-4):
 
 class TestInvertMeasurement:
     def test_identity_rotation(self):
-        meas = PoseMeasurement(0.0, "box", np.array([1.0, 2.0, 3.0]),
+        meas = PoseMeasurement("box", np.array([1.0, 2.0, 3.0]),
                                QUAT_IDENTITY.copy(), np.array([1.0, 2.0, 3.0]),
                                np.ones(3))
         inv = ui.invert_measurement(meas)
@@ -35,7 +35,7 @@ class TestInvertMeasurement:
             var_p = rng.uniform(0.1, 2.0, 3)
             var_t = rng.uniform(0.1, 2.0, 3)
             inv = ui.invert_measurement(
-                PoseMeasurement(0.0, "box", p, q, var_p, var_t))
+                PoseMeasurement("box", p, q, var_p, var_t))
             # invert once more by hand on the inverted quantities
             rot_back = rot_of(inv.q_oc).T
             p_back = -(rot_back @ inv.p_oc)
@@ -49,7 +49,7 @@ class TestInvertMeasurement:
         rng = np.random.default_rng(1)
         for _ in range(20):
             var_p = rng.uniform(0.1, 2.0, 3)
-            meas = PoseMeasurement(0.0, "box", rng.normal(size=3),
+            meas = PoseMeasurement("box", rng.normal(size=3),
                                    quat_of(exp_so3(rng.normal(size=3))),
                                    var_p, rng.uniform(0.1, 2.0, 3))
             inv = ui.invert_measurement(meas)
@@ -76,7 +76,7 @@ class TestResidualsAndJacobians:
         obj = s.objects[0]
         clean = consistent_measurement(s, 0)
         noisy_rot = PoseMeasurement(
-            0.0, clean.object_class, clean.p_co.copy(),
+            clean.object_class, clean.p_co.copy(),
             quat_mul(clean.q_co, quat_of(exp_so3([0.05, -0.02, 0.04]))),
             clean.var_p.copy(), clean.var_theta.copy())
         # direct position residual: bit-identical under rotation perturbation
