@@ -163,8 +163,6 @@ def _parse_value(key: str, raw: str, line_no: int):
                     vals = vals * 3
                 if len(vals) != 3:
                     raise ValueError("expected 1 or 3 values")
-            if key == "episodes" and len(vals) % 3:
-                raise ValueError("expected (start, end, factor) triples")
             return vals
         return float(raw)
     except ValueError as exc:

@@ -32,7 +32,6 @@ class Verdict(enum.Enum):
 class GatingDecision:
     verdict: Verdict
     statistic: float
-    method: str
 
     def keeps_position(self) -> bool:
         return self.verdict in (Verdict.ACCEPT_ALL, Verdict.REJECT_ROTATION)
@@ -94,13 +93,13 @@ def _mahalanobis_sq(residuals: np.ndarray, innovation_covs: np.ndarray):
     return d2
 
 
-def _chi2_decisions(d2: np.ndarray, dof: int, alpha: float, method: str):
+def _chi2_decisions(d2: np.ndarray, dof: int, alpha: float):
     """Decisions from block distances d2 of shape (matches, blocks): one
     block per match for chi2, (position, rotation) for chi2p. With one
     block, r[0] and r[-1] are the same test and the verdict is all or
     nothing."""
     reject = d2 > chi2_quantile(dof, 1.0 - alpha)
-    return [GatingDecision(_compose(r[0], r[-1]), float(x), method)
+    return [GatingDecision(_compose(r[0], r[-1]), float(x))
             for r, x in zip(reject, d2.max(axis=1))]
 
 
@@ -117,7 +116,7 @@ def chi2_full(residual, jac, cov, noise_cov, alpha: float) -> GatingDecision:
     (near-)singular rejects the measurement.
     """
     d2 = _block_distances([residual], [jac], cov, [noise_cov])
-    return _chi2_decisions(d2.reshape(1, 1), residual.size, alpha, "chi2")[0]
+    return _chi2_decisions(d2.reshape(1, 1), residual.size, alpha)[0]
 
 
 def chi2_partial(residual_p, residual_r, jac_p, jac_r, cov, noise_p, noise_r,
@@ -125,45 +124,43 @@ def chi2_partial(residual_p, residual_r, jac_p, jac_r, cov, noise_p, noise_r,
     """Two independent 3-DoF chi-square tests on the marginal innovations."""
     d2 = _block_distances([residual_p, residual_r], [jac_p, jac_r], cov,
                           [noise_p, noise_r])
-    return _chi2_decisions(d2.reshape(1, 2), residual_p.size, alpha,
-                           "chi2p")[0]
+    return _chi2_decisions(d2.reshape(1, 2), residual_p.size, alpha)[0]
 
 
 def _threshold_test(meas: PoseMeasurement, tau_p: float, tau_theta: float,
-                    method: str) -> GatingDecision:
+                    per_block: bool) -> GatingDecision:
     """Reject a block whose largest reported standard deviation exceeds its
-    threshold (strict inequality: the boundary is accepted); a method not in
-    PARTIAL_METHODS rejects the whole measurement instead."""
+    threshold (strict inequality: the boundary is accepted); without
+    per_block, reject the whole measurement instead."""
     sig_p = float(np.max(np.sqrt(meas.var_p)))
     sig_r = float(np.max(np.sqrt(meas.var_theta)))
     reject_p, reject_r = sig_p > tau_p, sig_r > tau_theta
-    if method not in PARTIAL_METHODS:
+    if not per_block:
         reject_p = reject_r = reject_p or reject_r
     return GatingDecision(_compose(reject_p, reject_r),
-                          max(sig_p / tau_p, sig_r / tau_theta), method)
+                          max(sig_p / tau_p, sig_r / tau_theta))
 
 
 def aor(meas: PoseMeasurement, cfg: GatingConfig) -> GatingDecision:
     """Reject the whole measurement when any reported standard deviation
     exceeds its threshold."""
-    return _threshold_test(meas, cfg.aor_tau_p, cfg.aor_tau_theta, "aor")
+    return _threshold_test(meas, cfg.aor_tau_p, cfg.aor_tau_theta, False)
 
 
 def aorp(meas: PoseMeasurement, cfg: GatingConfig) -> GatingDecision:
     """Per-block variant of aor: position and rotation rejected separately."""
-    return _threshold_test(meas, cfg.aorp_tau_p, cfg.aorp_tau_theta, "aorp")
+    return _threshold_test(meas, cfg.aorp_tau_p, cfg.aorp_tau_theta, True)
 
 
 def _accept_all(cfg, s, residual, measurements, degenerate):
-    return [GatingDecision(Verdict.ACCEPT_ALL, 0.0, "none")] * len(
-        measurements)
+    return [GatingDecision(Verdict.ACCEPT_ALL, 0.0)] * len(measurements)
 
 
 def _thresholds(test, cfg, s, residual, measurements, degenerate):
     return [test(m, cfg) for m in measurements]
 
 
-def _chi2_blocks(method, block, cfg, s, residual, measurements, degenerate):
+def _chi2_blocks(block, cfg, s, residual, measurements, degenerate):
     k = s.shape[0] // block
     idx = np.arange(k)
     d2 = _mahalanobis_sq(residual.reshape(k, block),
@@ -176,7 +173,7 @@ def _chi2_blocks(method, block, cfg, s, residual, measurements, degenerate):
         d2[degenerate, 0] = np.inf
     else:
         d2[degenerate, 1] = 0.0
-    return _chi2_decisions(d2, block, cfg.chi2_alpha, method)
+    return _chi2_decisions(d2, block, cfg.chi2_alpha)
 
 
 # How each method gates a frame: chi-square tests on the diagonal blocks of
@@ -186,8 +183,8 @@ FRAME_TESTS = {
     "none": _accept_all,
     "aor": partial(_thresholds, aor),
     "aorp": partial(_thresholds, aorp),
-    "chi2": partial(_chi2_blocks, "chi2", 6),
-    "chi2p": partial(_chi2_blocks, "chi2p", 3),
+    "chi2": partial(_chi2_blocks, 6),
+    "chi2p": partial(_chi2_blocks, 3),
 }
 
 
@@ -211,6 +208,5 @@ def gate_frame(cfg: GatingConfig, s: np.ndarray, residual: np.ndarray,
             verdict = (Verdict.REJECT_ROTATION
                        if decision.keeps_position() and partial_ok
                        else Verdict.REJECT_ALL)
-            decisions[j] = GatingDecision(verdict, decision.statistic,
-                                          decision.method)
+            decisions[j] = GatingDecision(verdict, decision.statistic)
     return decisions

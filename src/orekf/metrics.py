@@ -50,7 +50,9 @@ class RunRecord:
 def rmse_position(run: RunRecord) -> float:
     """Root mean square position error in meters."""
     err = run.position_errors()
-    return float(np.sqrt(np.mean(np.sum(err * err, axis=1))))
+    # a diverged estimate may square to inf, as run.diverged reports
+    with np.errstate(over="ignore"):
+        return float(np.sqrt(np.mean(np.sum(err * err, axis=1))))
 
 
 def rmse_orientation(run: RunRecord) -> float:
@@ -61,7 +63,8 @@ def rmse_orientation(run: RunRecord) -> float:
 
 def max_position_error(run: RunRecord) -> float:
     err = run.position_errors()
-    return float(np.max(np.linalg.norm(err, axis=1)))
+    with np.errstate(over="ignore"):
+        return float(np.max(np.linalg.norm(err, axis=1)))
 
 
 def anees(run: RunRecord, block: str = "position") -> float:
@@ -87,5 +90,6 @@ def anees(run: RunRecord, block: str = "position") -> float:
     if skipped == len(errs):
         return float("nan")
     errs = errs[ok, None, :]
-    nees = (errs @ np.linalg.solve(covs[ok], np.swapaxes(errs, 1, 2)))
+    with np.errstate(over="ignore"):
+        nees = (errs @ np.linalg.solve(covs[ok], np.swapaxes(errs, 1, 2)))
     return float(np.mean(nees[:, 0, 0] / errs.shape[-1]))

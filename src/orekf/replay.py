@@ -8,7 +8,7 @@ import math
 
 import numpy as np
 
-from .sim import ImuStream, MeasurementStream
+from .sim import TIME_TOL, ImuStream, MeasurementStream, timing_fault
 from .update_direct import PoseMeasurement
 
 FORMAT_HEADER = "replay-log 1"
@@ -63,16 +63,15 @@ def write_log(path, imu: ImuStream, meas: MeasurementStream):
 def read_log(path):
     """Rebuild the (ImuStream, MeasurementStream) pair from a log.
 
-    Raises ReplayLogError on a version mismatch, malformed lines or
-    non-finite numbers, a record without its newline, a TRUTH record not
-    preceded by an IMU record at its own time, IMU records past the last
-    TRUTH tick, non-monotone timestamps, IMU samples not evenly spaced to
-    1e-9 s, or TRUTH record k not following IMU sample k * ratio (ratio:
-    IMU samples per camera tick), which is the timing run_filter needs.
+    Raises ReplayLogError on a version mismatch, and names the line of a
+    record without its newline, a malformed record or non-finite number, a
+    TRUTH record not preceded by an IMU record at its own time, a MEAS
+    record not preceded by the TRUTH record of its time, IMU records past
+    the last TRUTH record, and timing that breaks sim.timing_fault's rule,
+    which run_filter needs.
     """
-    imu_rows, truth_rows, meas_rows = [], [], []
+    imu_rows, truth_rows, ticks = [], [], []
     imu_lines, truth_lines = [], []
-    truth_imu = []  # index of the IMU sample each TRUTH record follows
     imu_after_truth = None  # line of the first IMU record after the last TRUTH
     with open(path, "r", encoding="utf-8") as fh:
         header = fh.readline().rstrip("\n")
@@ -94,8 +93,8 @@ def read_log(path):
                     raise ValueError(f"{len(parts)} fields in a {kind!r} "
                                      f"record")
                 # every field is a number but the kind and a MEAS class
-                row = [float(p) for p in
-                       parts[:1] + parts[3 if kind == "MEAS" else 2:]]
+                row = list(map(float, parts[:1]
+                               + parts[3 if kind == "MEAS" else 2:]))
                 if not all(map(math.isfinite, row)):
                     raise ValueError("a field is not a finite number")
             except ValueError as exc:
@@ -107,16 +106,23 @@ def read_log(path):
                 imu_lines.append(line_no)
                 imu_after_truth = imu_after_truth or line_no
             elif kind == "TRUTH":
-                if not imu_rows or abs(imu_rows[-1][0] - row[0]) > 1e-9:
+                if not imu_rows or abs(imu_rows[-1][0] - row[0]) > TIME_TOL:
                     raise ReplayLogError(
                         f"line {line_no}: TRUTH at t={row[0]} is not preceded "
                         f"by an IMU record at its own time")
                 truth_rows.append(row)
                 truth_lines.append(line_no)
-                truth_imu.append(len(imu_rows) - 1)
+                ticks.append([])
                 imu_after_truth = None
             else:
-                meas_rows.append((line_no, row[0], parts[2], row[1:]))
+                if not ticks or abs(truth_rows[-1][0] - row[0]) > TIME_TOL:
+                    raise ReplayLogError(
+                        f"line {line_no}: MEAS at t={row[0]} is not preceded "
+                        f"by the TRUTH record of its tick")
+                ticks[-1].append(PoseMeasurement(
+                    object_class=parts[2], p_co=np.array(row[1:4]),
+                    q_co=np.array(row[4:8]), var_p=np.array(row[8:11]),
+                    var_theta=np.array(row[11:14])))
     if not imu_rows or not truth_rows:
         raise ReplayLogError("log contains no IMU or TRUTH records")
     if imu_after_truth is not None:
@@ -125,39 +131,12 @@ def read_log(path):
 
     imu_arr = np.array(imu_rows)
     truth_arr = np.array(truth_rows)
-    if np.any(np.diff(imu_arr[:, 0]) <= 0) or np.any(np.diff(truth_arr[:, 0]) <= 0):
-        raise ReplayLogError("timestamps are not strictly increasing")
-    step = np.diff(imu_arr[:, 0])
-    uneven = np.abs(step - step[:1]) > 1e-9
-    if uneven.any():
-        raise ReplayLogError(f"line {imu_lines[int(uneven.argmax()) + 1]}: "
-                             f"IMU samples are not evenly spaced")
-    ratio = truth_imu[1] if len(truth_imu) > 1 else 0
-    off = np.array(truth_imu) != np.arange(len(truth_imu)) * ratio
-    if off.any():
-        k = int(off.argmax())
-        raise ReplayLogError(
-            f"line {truth_lines[k]}: TRUTH record {k} follows IMU sample "
-            f"{truth_imu[k]}, not sample {k * ratio} (camera ticks must fall "
-            f"evenly on IMU samples)")
+    fault = timing_fault(imu_arr[:, 0], truth_arr[:, 0])
+    if fault:
+        stream, i, message = fault
+        lines = imu_lines if stream == "IMU" else truth_lines
+        raise ReplayLogError(f"line {lines[i]}: {message}")
     imu = ImuStream(imu_arr[:, 0], imu_arr[:, 1:4], imu_arr[:, 4:7])
-    ticks = [[] for _ in range(len(truth_rows))]
-    t_cam = truth_arr[:, 0]
-    t_meas = np.array([t for _, t, _, _ in meas_rows])
-    # nearest TRUTH tick: the one before or at the insertion point
-    hi = np.searchsorted(t_cam, t_meas).clip(0, len(t_cam) - 1)
-    lo = (hi - 1).clip(0)
-    nearest = np.where(np.abs(t_cam[lo] - t_meas)
-                       <= np.abs(t_cam[hi] - t_meas), lo, hi)
-    for (line_no, t, obj_class, vals), k in zip(meas_rows, nearest):
-        if abs(t_cam[k] - t) > 1e-9:
-            raise ReplayLogError(
-                f"line {line_no}: MEAS at t={t} does not align with any "
-                f"TRUTH tick")
-        ticks[k].append(PoseMeasurement(
-            object_class=obj_class, p_co=np.array(vals[0:3]),
-            q_co=np.array(vals[3:7]), var_p=np.array(vals[7:10]),
-            var_theta=np.array(vals[10:13])))
-    meas = MeasurementStream(t_cam, ticks, truth_arr[:, 1:4],
+    meas = MeasurementStream(truth_arr[:, 0], ticks, truth_arr[:, 1:4],
                              truth_arr[:, 4:7], truth_arr[:, 7:11])
     return imu, meas

@@ -16,7 +16,8 @@ from . import update_inverse as ui
 from .matching import MatchConfig, initialize_object, match, project_measurement
 from .metrics import RunRecord
 from .propagation import ImuNoise, propagate_batch
-from .sim import ImuStream, MeasurementStream, camera_forward_extrinsics
+from .sim import ImuStream, MeasurementStream, camera_forward_extrinsics, \
+    timing_fault
 from .state import CoreState, FullState
 
 log = logging.getLogger(__name__)
@@ -97,32 +98,22 @@ def run_filter(imu: ImuStream, meas_stream: MeasurementStream,
                setup: FilterSetup) -> RunRecord:
     """Run the configured filter over the streams.
 
-    The IMU samples must be evenly spaced and camera tick k must fall on
-    IMU sample k * (IMU intervals per camera interval), to 1e-9 s, or
-    ValueError. Between camera ticks the consecutive IMU samples are
+    The streams must keep the timing of sim.timing_fault, or ValueError
+    with its message. Between camera ticks the consecutive IMU samples are
     averaged pairwise (trapezoidal measurement averaging) and propagated in
     one batch. The run stops early and is marked diverged when the
     position error exceeds the divergence bound or is not a number.
     Objects are numbered in the order they are initialized.
     """
-    if len(meas_stream.t) == 0:
-        raise ValueError("the measurement stream is empty: it has no camera "
-                         "ticks to start the filter from")
-    if np.any(np.diff(imu.t) <= 0) or np.any(np.diff(meas_stream.t) <= 0):
-        raise ValueError("timestamps must be strictly increasing")
-    n_imu = len(imu.t) - 1
+    if len(meas_stream.t) == 0 or len(imu.t) == 0:
+        raise ValueError("a stream is empty: the filter starts from a camera "
+                         "tick and the IMU sample at its time")
+    fault = timing_fault(imu.t, meas_stream.t)
+    if fault:
+        raise ValueError(fault[2])
     n_cam = len(meas_stream.t) - 1
-    if n_cam and n_imu % n_cam:
-        raise ValueError("camera ticks must align with IMU ticks")
-    ratio = n_imu // n_cam if n_cam else n_imu
-    dt = float(imu.t[1] - imu.t[0]) if n_imu else 0.0
-    if np.any(np.abs(np.diff(imu.t) - dt) > 1e-9):
-        raise ValueError("IMU samples must be evenly spaced")
-    off = np.abs(imu.t[np.arange(n_cam + 1) * ratio] - meas_stream.t) > 1e-9
-    if off.any():
-        k = int(off.argmax())
-        raise ValueError(f"camera tick {k} at t={meas_stream.t[k]:.9g} s "
-                         f"does not fall on IMU sample {k * ratio}")
+    ratio = (len(imu.t) - 1) // n_cam if n_cam else 0
+    dt = float(imu.t[1] - imu.t[0]) if ratio else 0.0
 
     state, cov = _initial_state(meas_stream)
     counts = {"accepted": 0, "rejected_all": 0, "rejected_position": 0,

@@ -211,6 +211,39 @@ class MeasurementStream:
     truth_quat: np.ndarray
 
 
+TIME_TOL = 1e-9  # s: how far a step or a tick may be from its due time
+
+
+def timing_fault(imu_t: np.ndarray, cam_t: np.ndarray):
+    """The first break of the timing the filter needs, as (stream, index,
+    message) with stream "IMU" or "camera", or None: times increase
+    strictly; each IMU step equals the first and camera tick k falls on IMU
+    sample k * ratio (ratio: IMU intervals per camera interval), to
+    TIME_TOL; with more than one tick, the last tick is the last IMU sample.
+    """
+    for stream, t in (("IMU", imu_t), ("camera", cam_t)):
+        back = np.flatnonzero(np.diff(t) <= 0)
+        if back.size:
+            return (stream, back[0] + 1,
+                    "timestamps are not strictly increasing")
+    step = np.diff(imu_t)
+    uneven = np.flatnonzero(np.abs(step - step[:1]) > TIME_TOL)
+    if uneven.size:
+        return "IMU", uneven[0] + 1, "IMU samples are not evenly spaced"
+    n_cam = len(cam_t) - 1
+    ratio = len(step) // n_cam if n_cam else 0
+    off = np.flatnonzero(
+        np.abs(imu_t[np.arange(n_cam + 1) * ratio] - cam_t) > TIME_TOL)
+    if off.size:
+        k = off[0]
+        return "camera", k, (f"camera tick {k} at t={cam_t[k]:.9g} s does "
+                             f"not fall on IMU sample {k * ratio}")
+    if n_cam and n_cam * ratio < len(step):
+        return ("IMU", n_cam * ratio + 1,
+                "IMU samples continue past the last camera tick")
+    return None
+
+
 def _rng(seed: int, stream: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(
         np.random.SeedSequence(seed, spawn_key=(stream,))))

@@ -60,7 +60,7 @@ class PoseMeasurement:
         self.q_co = quat_canonical(self.q_co)
         self.var_p = np.asarray(self.var_p, dtype=float)
         self.var_theta = np.asarray(self.var_theta, dtype=float)
-        if np.any(self.var_p <= 0) or np.any(self.var_theta <= 0):
+        if (self.var_p <= 0).any() or (self.var_theta <= 0).any():
             raise ValueError("measurement variances must be positive")
 
 

@@ -306,6 +306,17 @@ class TestReplay:
         assert capsys.readouterr().err.startswith(
             f"error: line {idx + 1}: IMU samples are not evenly spaced")
 
+    def test_swapped_imu_timestamps_exit_2_with_line_number(self, tmp_path,
+                                                            capsys):
+        cfg_path, lines = self._short_log(tmp_path)
+        idx = [i for i, line in enumerate(lines) if ",IMU," in line][13]
+        assert ",IMU," in lines[idx + 1] and ",IMU," in lines[idx + 2]
+        lines[idx], lines[idx + 1] = lines[idx + 1], lines[idx]
+        capsys.readouterr()
+        assert self._replay_lines(tmp_path, cfg_path, lines) == 2
+        assert capsys.readouterr().err.startswith(
+            f"error: line {idx + 2}: timestamps are not strictly increasing")
+
     def test_missing_camera_tick_exits_2_with_line_number(self, tmp_path,
                                                           capsys):
         cfg_path, lines = self._short_log(tmp_path)
@@ -317,8 +328,8 @@ class TestReplay:
         assert self._replay_lines(tmp_path, cfg_path, lines) == 2
         line = truth[6] - (nxt - truth[5]) + 1
         assert capsys.readouterr().err.startswith(
-            f"error: line {line}: TRUTH record 5 follows IMU sample 60, "
-            f"not sample 50")
+            f"error: line {line}: camera tick 5 at t=0.3 s does not fall on "
+            f"IMU sample 50")
 
     def test_misaligned_measurement_raises_with_line_number(self, tmp_path):
         cfg = parse_config(write(tmp_path, BASE_CONFIG))

@@ -51,13 +51,12 @@ def reference_decision(cov, meas, block, cfg, direct):
     z_p, z_r, h_p, h_r, noise_p, noise_r = block
     degenerate = z_r is None
     if cfg.method == "none":
-        decision = gt.GatingDecision(gt.Verdict.ACCEPT_ALL, 0.0, "none")
+        decision = gt.GatingDecision(gt.Verdict.ACCEPT_ALL, 0.0)
     elif cfg.method in ("aor", "aorp"):
         decision = getattr(gt, cfg.method)(meas, cfg)
     elif cfg.method == "chi2":
         if degenerate:
-            return gt.GatingDecision(gt.Verdict.REJECT_ALL, float("inf"),
-                                     "chi2")
+            return gt.GatingDecision(gt.Verdict.REJECT_ALL, float("inf"))
         noise = np.zeros((6, 6))
         noise[:3, :3], noise[3:, 3:] = noise_p, noise_r
         decision = gt.chi2_full(np.concatenate([z_p, z_r]),
@@ -67,7 +66,7 @@ def reference_decision(cov, meas, block, cfg, direct):
         d_pos = gt.chi2_full(z_p, h_p, cov, noise_p, cfg.chi2_alpha)
         verdict = (gt.Verdict.REJECT_ROTATION if d_pos.keeps_position()
                    else gt.Verdict.REJECT_ALL)
-        return gt.GatingDecision(verdict, d_pos.statistic, "chi2p")
+        return gt.GatingDecision(verdict, d_pos.statistic)
     else:
         decision = gt.chi2_partial(z_p, z_r, h_p, h_r, cov, noise_p, noise_r,
                                    cfg.chi2_alpha)
@@ -75,8 +74,7 @@ def reference_decision(cov, meas, block, cfg, direct):
         verdict = (gt.Verdict.REJECT_ROTATION
                    if decision.keeps_position() and direct
                    else gt.Verdict.REJECT_ALL)
-        decision = gt.GatingDecision(verdict, decision.statistic,
-                                     decision.method)
+        decision = gt.GatingDecision(verdict, decision.statistic)
     return decision
 
 
@@ -236,7 +234,6 @@ def test_frame_verdicts_match_per_block_functions(case):
     for (mi, _), block, decision in zip(pairs, blocks, got):
         want = reference_decision(cov, frame[mi], block, cfg, direct)
         assert decision.verdict is want.verdict
-        assert decision.method == want.method
         if np.isfinite(want.statistic):
             assert abs(decision.statistic - want.statistic) \
                 <= 1e-9 * max(1.0, want.statistic)
@@ -266,7 +263,7 @@ def test_degenerate_chi2p_tests_the_position_block_alone(spread, verdict):
 def test_degenerate_rows_are_never_kept():
     state, cov, frame, pairs = random_frame(4, 1, 1, (0.0, 0.0), 1)
     matches = [(pairs[0][1], frame[0])]
-    keep_rot = [gt.GatingDecision(gt.Verdict.ACCEPT_ALL, 0.0, "none")]
+    keep_rot = [gt.GatingDecision(gt.Verdict.ACCEPT_ALL, 0.0)]
     with pytest.raises(ud.DegenerateRotationError):
         ud.build_stacked(state, matches, keep_rot)
     for ftype, verdict in (("direct", gt.Verdict.REJECT_ROTATION),

@@ -217,3 +217,13 @@ class TestBatchedAgainstLoops:
         rec = make_record(np.zeros((3, 3)), np.ones((3, 3)),
                           cov_pos=np.zeros((3, 3, 3)))
         assert np.isnan(anees(rec, "position"))
+
+
+@pytest.mark.filterwarnings("error")
+def test_diverged_estimate_overflows_to_inf_without_warnings():
+    p_est = np.zeros((3, 3))
+    p_est[-1] = 6e294  # squares to inf
+    rec = make_record(np.zeros((3, 3)), p_est)
+    assert rmse_position(rec) == np.inf
+    assert max_position_error(rec) == np.inf
+    assert anees(rec, "position") == np.inf

@@ -1,6 +1,8 @@
 """Property tests of the replay-log format: a write/read round trip, and
 truncated or corrupted logs."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -9,9 +11,13 @@ from hypothesis.extra.numpy import arrays
 
 from orekf.cli import cmd_replay, cmd_run
 from orekf.config import RunConfig
+from orekf.propagation import ImuNoise
 from orekf.replay import ReplayLogError, read_log, write_log
-from orekf.sim import ImuStream, MeasurementStream
+from orekf.runner import FilterSetup, run_filter
+from orekf.sim import ImuStream, MeasurementStream, SensorSpec, gen_imu, \
+    gen_measurements
 from orekf.update_direct import PoseMeasurement
+from tests.test_sim import lively_traj, single_object_world
 
 finite = hs.floats(allow_nan=False, allow_infinity=False)
 positive = hs.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
@@ -133,3 +139,57 @@ def test_cut_at_a_line_end_raises_or_replays_a_prefix(tmp_path_factory,
     replayed = (out / "run.csv").read_bytes().splitlines()
     assert 2 <= len(replayed) <= len(rows)
     assert replayed[:-1] == rows[:len(replayed) - 1]
+
+
+@settings(max_examples=60, deadline=None)
+@given(hs.data())
+def test_moved_measurement_raises_with_line_number(tmp_path_factory,
+                                                   recorded, data):
+    _, log, _ = recorded
+    lines = log.decode().splitlines(keepends=True)
+    i = data.draw(hs.sampled_from(
+        [i for i, line in enumerate(lines) if ",MEAS," in line]))
+    # to just before the TRUTH record of its tick
+    j = max(k for k in range(i) if ",TRUTH," in lines[k])
+    lines.insert(j, lines.pop(i))
+    with pytest.raises(ReplayLogError, match=f"^line {j + 1}: MEAS"):
+        read_log(_write(tmp_path_factory, "".join(lines).encode()))
+
+
+@pytest.fixture(scope="module")
+def simulated():
+    """1 s of 200 Hz IMU samples and 20 Hz camera ticks."""
+    traj = lively_traj(1.0)
+    return (gen_imu(traj, ImuNoise(), 200.0, seed=2),
+            gen_measurements(traj, single_object_world(), SensorSpec(),
+                             seed=2))
+
+
+@settings(max_examples=40, deadline=None)
+@given(hs.data())
+def test_run_filter_and_read_log_reject_a_timing_fault_alike(
+        tmp_path_factory, simulated, data):
+    imu, meas = simulated
+    if data.draw(hs.booleans(), label="shift an IMU time"):
+        i = data.draw(hs.sampled_from(
+            [i for i in range(len(imu.t)) if i % 10]))
+        t = imu.t.copy()
+        t[i] += data.draw(hs.sampled_from([-1e-4, 1e-4]))
+        imu = ImuStream(t, imu.acc, imu.gyro)
+    else:
+        # not the last tick: a log without it reads as cut after its
+        # predecessor, which read_log reports as such
+        k = data.draw(hs.integers(0, len(meas.t) - 2), label="deleted tick")
+        keep = np.arange(len(meas.t)) != k
+        meas = MeasurementStream(
+            meas.t[keep], [f for j, f in enumerate(meas.ticks) if j != k],
+            meas.truth_pos[keep], meas.truth_vel[keep],
+            meas.truth_quat[keep])
+    with pytest.raises(ValueError) as in_memory:
+        run_filter(imu, meas, FilterSetup())
+    path = tmp_path_factory.mktemp("fault") / "r.log"
+    write_log(path, imu, meas)
+    with pytest.raises(ReplayLogError) as replayed:
+        read_log(path)
+    assert re.fullmatch(r"line \d+: (.*)", str(replayed.value)).group(1) \
+        == str(in_memory.value)

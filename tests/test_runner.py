@@ -154,6 +154,13 @@ class TestEdgeCases:
         with pytest.raises(ValueError, match="empty"):
             run_filter(imu, empty, FilterSetup())
 
+    def test_stream_without_imu_samples_is_rejected(self):
+        meas = gen_measurements(lively_traj(1.0), single_object_world(),
+                                SensorSpec(), seed=8)
+        empty = ImuStream(np.zeros(0), np.zeros((0, 3)), np.zeros((0, 3)))
+        with pytest.raises(ValueError, match="empty"):
+            run_filter(empty, meas, FilterSetup())
+
     def test_imu_stream_shorter_than_camera_stream_is_rejected(self):
         # 201 IMU samples over 1 s against 41 camera ticks over 2 s: the
         # sample count divides, but tick k falls on IMU sample 5k at k/40 s

@@ -27,10 +27,10 @@ from orekf.update_direct import (
     residual_rotation,
 )
 
-ACCEPT = GatingDecision(Verdict.ACCEPT_ALL, 0.0, "none")
-REJECT_ROT = GatingDecision(Verdict.REJECT_ROTATION, 0.0, "aorp")
-REJECT_POS = GatingDecision(Verdict.REJECT_POSITION, 0.0, "aorp")
-REJECT_ALL = GatingDecision(Verdict.REJECT_ALL, 0.0, "aor")
+ACCEPT = GatingDecision(Verdict.ACCEPT_ALL, 0.0)
+REJECT_ROT = GatingDecision(Verdict.REJECT_ROTATION, 0.0)
+REJECT_POS = GatingDecision(Verdict.REJECT_POSITION, 0.0)
+REJECT_ALL = GatingDecision(Verdict.REJECT_ALL, 0.0)
 
 
 def random_state(rng, n_objects=2):

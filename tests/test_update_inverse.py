@@ -10,7 +10,7 @@ from orekf.update_direct import residual_position as direct_residual_position
 from orekf import update_inverse as ui
 from tests.test_update_direct import consistent_measurement, fd_jacobian, random_state
 
-ACCEPT = GatingDecision(Verdict.ACCEPT_ALL, 0.0, "none")
+ACCEPT = GatingDecision(Verdict.ACCEPT_ALL, 0.0)
 
 
 def inverted_consistent(state, obj_index, var=1e-4):
@@ -124,8 +124,7 @@ class TestInverseUpdate:
         s = random_state(rng, 1)
         with pytest.raises(ValueError):
             ui.build_stacked(s, [(0, consistent_measurement(s, 0))],
-                             [GatingDecision(Verdict.REJECT_ROTATION, 0.0,
-                                             "aorp")])
+                             [GatingDecision(Verdict.REJECT_ROTATION, 0.0)])
 
     def test_zero_residual_keeps_state(self):
         rng = np.random.default_rng(7)
@@ -143,4 +142,4 @@ class TestInverseUpdate:
         s = random_state(rng, 1)
         assert ui.build_stacked(
             s, [(0, consistent_measurement(s, 0))],
-            [GatingDecision(Verdict.REJECT_ALL, 0.0, "aor")]) is None
+            [GatingDecision(Verdict.REJECT_ALL, 0.0)]) is None
