@@ -9,8 +9,6 @@ simulation and Monte Carlo campaign harness.
 """
 
 from .gating import GatingConfig, GatingDecision, Verdict
-from .geom3 import Pose
-from .matching import MatchConfig
 from .metrics import RunRecord, anees, max_position_error, rmse_orientation, \
     rmse_position
 from .propagation import ImuNoise, propagate_batch
@@ -22,7 +20,6 @@ from .state import CoreState, Extrinsics, FullState, ObjectState, add_object, \
 from .update_direct import PoseMeasurement
 
 __all__ = [
-    "Pose",
     "ImuNoise",
     "propagate_batch",
     "CoreState",
@@ -35,7 +32,6 @@ __all__ = [
     "GatingConfig",
     "GatingDecision",
     "Verdict",
-    "MatchConfig",
     "RunRecord",
     "anees",
     "max_position_error",

@@ -115,8 +115,10 @@ def run_sweep_cells(cfg: RunConfig, parallel: int = 1):
              for j in range(len(cfg.sweep_sigma_theta))
              for k in range(cfg.runs_per_cell)]
     results = {}
-    if parallel > 1:
-        with ProcessPoolExecutor(max_workers=parallel) as pool:
+    # a pool starts all of its workers at the first task
+    workers = min(parallel, len(tasks))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             for i, j, k, seed, met in pool.map(_sweep_task, tasks,
                                                chunksize=8):
                 results[(i, j, k)] = (seed, met)
@@ -215,6 +217,13 @@ def _apply_overrides(cfg: RunConfig, args) -> RunConfig:
     return cfg.validate()
 
 
+def _worker_count(text: str) -> int:
+    count = int(text)
+    if count < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {count}")
+    return count
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="orekf",
@@ -236,7 +245,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_sweep = sub.add_parser("sweep", help="Monte Carlo noise-grid campaign")
     common(p_sweep)
-    p_sweep.add_argument("--parallel", type=int, default=1)
+    p_sweep.add_argument("--parallel", type=_worker_count, default=1)
 
     p_replay = sub.add_parser("replay",
                               help="re-run a filter over a recorded log")

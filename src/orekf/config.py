@@ -10,7 +10,6 @@ from dataclasses import dataclass, fields, replace
 import numpy as np
 
 from .gating import GatingConfig
-from .matching import MatchConfig
 from .presets import ScenarioPreset, get_preset
 from .propagation import ImuNoise
 from .runner import FilterSetup
@@ -50,8 +49,6 @@ class RunConfig:
     aor_tau_theta: float = 0.35
     aorp_tau_p: float = 0.10
     aorp_tau_theta: float = 0.175
-    match_w_p: float = 1.0
-    match_w_theta: float = 1.0
     match_gate: float = 6.0
     divergence_bound: float = 10.0
     runs_per_cell: int = 100
@@ -67,7 +64,7 @@ class RunConfig:
         return replace(self.scenario().trajectory, duration=self.duration)
 
     def world(self) -> list:
-        return self.scenario().world
+        return [obj.copy() for obj in self.scenario().world]
 
     def episode_schedule(self) -> list:
         if self.episodes is not None:
@@ -106,8 +103,7 @@ class RunConfig:
                 aor_tau_p=self.aor_tau_p, aor_tau_theta=self.aor_tau_theta,
                 aorp_tau_p=self.aorp_tau_p,
                 aorp_tau_theta=self.aorp_tau_theta),
-            matching=MatchConfig(self.match_w_p, self.match_w_theta,
-                                 self.match_gate),
+            match_gate=self.match_gate,
             divergence_bound=self.divergence_bound,
         )
 

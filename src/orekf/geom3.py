@@ -10,7 +10,6 @@ Conventions:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -308,35 +307,3 @@ def dR_transpose_vector_jr(q_rot: np.ndarray, phi: np.ndarray,
     r_rot = exp_so3(phi)
     return dR_transpose_vector(q_rot, r_rot, v) @ right_jacobian(phi)
 
-
-@dataclass
-class Pose:
-    """Rigid transform: translation p and unit quaternion q of frame B in A."""
-
-    p: np.ndarray
-    q: np.ndarray
-
-    def __post_init__(self):
-        self.p = np.asarray(self.p, dtype=float)
-        self.q = quat_canonical(self.q)
-
-    @classmethod
-    def identity(cls) -> "Pose":
-        return cls(np.zeros(3), QUAT_IDENTITY.copy())
-
-    def rot(self) -> np.ndarray:
-        return rot_of(self.q)
-
-    def compose(self, other: "Pose") -> "Pose":
-        """T_AC = T_AB.compose(T_BC)."""
-        return Pose(self.p + self.rot() @ other.p, quat_mul(self.q, other.q))
-
-    def inverse(self) -> "Pose":
-        rot = self.rot()
-        return Pose(inverse_position(self.p, rot), quat_conj(self.q))
-
-    def as_matrix(self) -> np.ndarray:
-        mat = np.eye(4)
-        mat[:3, :3] = self.rot()
-        mat[:3, 3] = self.p
-        return mat

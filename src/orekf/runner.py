@@ -13,7 +13,7 @@ from . import gating as gt
 from . import state as st
 from . import update_direct as ud
 from . import update_inverse as ui
-from .matching import MatchConfig, initialize_object, match, project_measurement
+from .matching import initialize_object, match, project_measurement
 from .metrics import RunRecord
 from .propagation import ImuNoise, propagate_batch
 from .sim import ImuStream, MeasurementStream, camera_forward_extrinsics, \
@@ -31,12 +31,13 @@ MODELS = {"direct": ud.DIRECT, "inverse": ui.INVERSE}
 @dataclass
 class FilterSetup:
     """Everything the filter loop needs besides the data streams; the camera
-    mount is camera_forward_extrinsics()."""
+    mount is camera_forward_extrinsics(). match_gate bounds the association
+    cost |dp| [m] + geodesic [rad] of a measurement and an object."""
 
     imu_noise: ImuNoise = field(default_factory=ImuNoise)
     filter_type: str = "direct"
     gating: gt.GatingConfig = field(default_factory=gt.GatingConfig)
-    matching: MatchConfig = field(default_factory=MatchConfig)
+    match_gate: float = 6.0
     divergence_bound: float = 10.0
 
     def __post_init__(self):
@@ -48,6 +49,8 @@ class FilterSetup:
             raise ValueError(
                 f"the {self.filter_type} filter couples position and "
                 f"rotation; it cannot gate with {self.gating.method!r}")
+        if not self.match_gate > 0:
+            raise ValueError("match_gate must be positive")
 
 
 def _initial_state(meas_stream: MeasurementStream) -> tuple:
@@ -136,10 +139,10 @@ def run_filter(imu: ImuStream, meas_stream: MeasurementStream,
 
             frame = meas_stream.ticks[k]
             if frame:
-                projected = [(project_measurement(state.core, state.extr, m),
-                              m.object_class) for m in frame]
+                projected = [project_measurement(state.core, state.extr, m)
+                             for m in frame]
                 pairs, unmatched = match(projected, state.objects,
-                                         setup.matching)
+                                         setup.match_gate)
                 for mi in unmatched:
                     state, cov = initialize_object(state, cov, frame[mi])
                     counts["initialized"] += 1

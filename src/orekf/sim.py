@@ -38,7 +38,8 @@ SIGMA_MODES = ("exact", "fixed", "episodes")
 
 
 def _as3(x) -> np.ndarray:
-    arr = np.asarray(x, dtype=float)
+    """A float copy of x, so a spec owns its arrays; a scalar fills 3."""
+    arr = np.array(x, dtype=float)
     if arr.ndim == 0:
         arr = np.full(3, float(arr))
     return arr

@@ -1,3 +1,4 @@
+import copy
 from dataclasses import replace
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hs
 
+from orekf import cli
 from orekf.cli import (
     build_parser,
     child_seed,
@@ -115,6 +117,20 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match="line 10.*episodes"):
             parse_config(write(tmp_path, text))
 
+    @pytest.mark.parametrize("gate", ["0", "-1", "nan"])
+    def test_match_gate_not_positive_with_line_number(self, tmp_path, gate):
+        text = BASE_CONFIG + f"match_gate = {gate}\n"
+        with pytest.raises(ConfigError, match="line 10: match_gate"):
+            parse_config(write(tmp_path, text))
+
+    @pytest.mark.parametrize("key", ["match_w_p", "match_w_theta"])
+    def test_removed_match_weight_exits_2_with_line_number(self, tmp_path,
+                                                           capsys, key):
+        cfg_path = write(tmp_path, BASE_CONFIG + f"{key} = 1.0\n")
+        assert main(["run", "--config", str(cfg_path),
+                     "--out", str(tmp_path / "x")]) == 2
+        assert f"line 10: unknown field {key!r}" in capsys.readouterr().err
+
     def test_repeated_key_with_line_number(self, tmp_path):
         text = BASE_CONFIG + "seed = 4\n"
         with pytest.raises(ConfigError, match="line 10.*'seed'"):
@@ -159,6 +175,19 @@ class TestConfigParsing:
         traj = RunConfig(preset="preset01", duration=3).trajectory()
         assert traj.duration == 3.0
         assert get_preset("preset01").trajectory.duration == before
+
+    def test_world_and_trajectory_are_copies_of_the_preset(self,
+                                                           monkeypatch):
+        # a private registry entry, so a failure cannot leak into other tests
+        monkeypatch.setitem(PRESETS, "preset06",
+                            copy.deepcopy(PRESETS["preset06"]))
+        preset = get_preset("preset06")
+        x0, amp0 = preset.world[0].p_wo[0], preset.trajectory.pos_amp[0]
+        cfg = RunConfig(preset="preset06")
+        cfg.world()[0].p_wo[0] += 1.0
+        cfg.trajectory().pos_amp[0] += 1.0
+        assert preset.world[0].p_wo[0] == x0
+        assert preset.trajectory.pos_amp[0] == amp0
 
     def test_scalar_expands_to_triple(self, tmp_path):
         cfg = parse_config(write(tmp_path, BASE_CONFIG))
@@ -419,6 +448,38 @@ class TestSweep:
         for name in ("sweep_cells.csv", "sweep_table.csv", "sweep_table.md"):
             assert (tmp_path / "s1" / name).read_bytes() \
                 == (tmp_path / "s2" / name).read_bytes()
+
+    @pytest.mark.parametrize("parallel", ["0", "-1"])
+    def test_parallel_below_one_exits_2(self, tmp_path, capsys, parallel):
+        cfg_path = write(tmp_path, SWEEP_CONFIG)
+        with pytest.raises(SystemExit) as exc:
+            main(["sweep", "--config", str(cfg_path),
+                  "--out", str(tmp_path / "s"), "--parallel", parallel])
+        assert exc.value.code == 2
+        assert "--parallel" in capsys.readouterr().err
+        assert not (tmp_path / "s").exists()
+
+    def test_pool_has_no_more_workers_than_tasks(self, tmp_path,
+                                                 monkeypatch):
+        started = []
+
+        class SerialPool:
+            def __init__(self, max_workers):
+                started.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks, chunksize=1):
+                return map(fn, tasks)
+
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", SerialPool)
+        cfg = parse_config(write(tmp_path, SWEEP_CONFIG))
+        assert cli.run_sweep_cells(cfg, 8) == cli.run_sweep_cells(cfg, 1)
+        assert started == [2]
 
     def test_table_shape_default_grid(self, tmp_path):
         cfg = parse_config(write(tmp_path, BASE_CONFIG))

@@ -1,10 +1,11 @@
+from dataclasses import dataclass
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
 from orekf import geom3
 from orekf.geom3 import (
-    Pose,
     dR_transpose_sandwich,
     dR_transpose_vector,
     dR_transpose_vector_jr,
@@ -20,6 +21,36 @@ from orekf.geom3 import (
     rot_of,
     skew,
 )
+
+
+@dataclass
+class Pose:
+    """Rigid transform: translation p and unit quaternion q of frame B in A.
+    The tests' reference for composing and inverting transforms."""
+
+    p: np.ndarray
+    q: np.ndarray
+
+    def __post_init__(self):
+        self.p = np.asarray(self.p, dtype=float)
+        self.q = quat_canonical(self.q)
+
+    def rot(self) -> np.ndarray:
+        return rot_of(self.q)
+
+    def compose(self, other: "Pose") -> "Pose":
+        """T_AC = T_AB.compose(T_BC)."""
+        return Pose(self.p + self.rot() @ other.p, quat_mul(self.q, other.q))
+
+    def inverse(self) -> "Pose":
+        rot = self.rot()
+        return Pose(inverse_position(self.p, rot), quat_conj(self.q))
+
+    def as_matrix(self) -> np.ndarray:
+        mat = np.eye(4)
+        mat[:3, :3] = self.rot()
+        mat[:3, 3] = self.p
+        return mat
 
 
 def random_rotation(rng):

@@ -2,13 +2,16 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hs
 from numpy.testing import assert_allclose
 
-from orekf.geom3 import Pose, QUAT_IDENTITY, exp_so3, quat_of
-from orekf.matching import MatchConfig, geodesic_angle, initialize_object, \
-    match, project_measurement
+from orekf.geom3 import QUAT_IDENTITY, exp_so3, quat_of
+from orekf.matching import geodesic_angle, initialize_object, match, \
+    project_measurement
 from orekf.state import CoreState, Extrinsics, FullState, ObjectState
 from orekf.update_direct import PoseMeasurement
+from tests.test_geom3 import Pose
 from tests.test_update_direct import identity_state, random_state
 
 
@@ -18,19 +21,31 @@ def measurement(p, q=None, var=1e-4, obj_class="box"):
                            np.full(3, var), np.full(3, var))
 
 
+def box(p, q=None):
+    return ObjectState("box", np.asarray(p, dtype=float),
+                       QUAT_IDENTITY.copy() if q is None else q)
+
+
+def pair_cost(meas, obj):
+    return (np.linalg.norm(meas.p_wo - obj.p_wo)
+            + geodesic_angle(meas.q_wo, obj.q_wo))
+
+
 class TestProjectMeasurement:
     def test_identity_passthrough(self):
         s = identity_state()
         q = quat_of(exp_so3([0.1, 0.2, 0.3]))
-        pose = project_measurement(s.core, s.extr, measurement([1, 2, 3], q))
-        assert_allclose(pose.p, [1, 2, 3])
-        assert_allclose(pose.q, q, atol=1e-12)
+        obj = project_measurement(s.core, s.extr,
+                                  measurement([1, 2, 3], q, obj_class="mug"))
+        assert obj.obj_class == "mug"
+        assert_allclose(obj.p_wo, [1, 2, 3])
+        assert_allclose(obj.q_wo, q, atol=1e-12)
 
     def test_translation_composition(self):
         s = identity_state()
         s.core.p_wi = np.array([1.0, 0.0, 0.0])
-        pose = project_measurement(s.core, s.extr, measurement([0, 0, 2]))
-        assert_allclose(pose.p, [1, 0, 2])
+        obj = project_measurement(s.core, s.extr, measurement([0, 0, 2]))
+        assert_allclose(obj.p_wo, [1, 0, 2])
 
     def test_matches_homogeneous_matrix_oracle(self):
         rng = np.random.default_rng(0)
@@ -38,80 +53,74 @@ class TestProjectMeasurement:
             s = random_state(rng, 0)
             meas = measurement(rng.normal(size=3),
                                quat_of(exp_so3(rng.normal(size=3))))
-            pose = project_measurement(s.core, s.extr, meas)
+            obj = project_measurement(s.core, s.extr, meas)
             t_wi = Pose(s.core.p_wi, s.core.q_wi).as_matrix()
             t_ic = Pose(s.extr.p_ic, s.extr.q_ic).as_matrix()
             t_co = Pose(meas.p_co, meas.q_co).as_matrix()
             expect = t_wi @ t_ic @ t_co
-            assert_allclose(pose.as_matrix(), expect, atol=1e-12)
+            assert_allclose(Pose(obj.p_wo, obj.q_wo).as_matrix(), expect,
+                            atol=1e-12)
 
 
 class TestMatch:
     def test_single_in_gate_matches(self):
         objects = [ObjectState("box", np.array([1.0, 0, 0]),
                                QUAT_IDENTITY.copy())]
-        projected = [(Pose(np.array([1.05, 0, 0]), QUAT_IDENTITY.copy()), "box")]
-        pairs, unmatched = match(projected, objects, MatchConfig())
+        projected = [box([1.05, 0, 0])]
+        pairs, unmatched = match(projected, objects, 6.0)
         assert pairs == [(0, 0)]
         assert unmatched == []
 
     def test_class_mismatch_goes_unmatched(self):
         objects = [ObjectState("mug", np.array([1.0, 0, 0]),
                                QUAT_IDENTITY.copy())]
-        projected = [(Pose(np.array([1.0, 0, 0]), QUAT_IDENTITY.copy()), "box")]
-        pairs, unmatched = match(projected, objects, MatchConfig())
+        projected = [box([1.0, 0, 0])]
+        pairs, unmatched = match(projected, objects, 6.0)
         assert pairs == []
         assert unmatched == [0]
 
     def test_cost_above_gate_goes_unmatched(self):
         objects = [ObjectState("box", np.array([5.0, 0, 0]),
                                QUAT_IDENTITY.copy())]
-        projected = [(Pose(np.array([1.0, 0, 0]), QUAT_IDENTITY.copy()), "box")]
-        pairs, unmatched = match(projected, objects, MatchConfig(gate=1.0))
+        projected = [box([1.0, 0, 0])]
+        pairs, unmatched = match(projected, objects, 1.0)
         assert pairs == []
         assert unmatched == [0]
 
     def test_empty_inputs(self):
-        assert match([], [], MatchConfig()) == ([], [])
+        assert match([], [], 6.0) == ([], [])
         objects = [ObjectState("box", np.zeros(3), QUAT_IDENTITY.copy())]
-        assert match([], objects, MatchConfig()) == ([], [])
+        assert match([], objects, 6.0) == ([], [])
 
     def test_assignment_matches_brute_force(self):
         rng = np.random.default_rng(1)
-        cfg = MatchConfig(gate=100.0)
         for _ in range(30):
             n = 3
             objects = [ObjectState("box", rng.normal(size=3),
                                    quat_of(exp_so3(rng.normal(size=3))))
                        for j in range(n)]
-            projected = [(Pose(rng.normal(size=3),
-                               quat_of(exp_so3(rng.normal(size=3)))), "box")
+            projected = [box(rng.normal(size=3),
+                             quat_of(exp_so3(rng.normal(size=3))))
                          for _ in range(n)]
-            pairs, unmatched = match(projected, objects, cfg)
+            pairs, unmatched = match(projected, objects, 100.0)
             assert unmatched == []
 
-            def pair_cost(i, j):
-                pose = projected[i][0]
-                return (cfg.w_p * np.linalg.norm(pose.p - objects[j].p_wo)
-                        + cfg.w_theta * geodesic_angle(pose.q,
-                                                       objects[j].q_wo))
-
-            total = sum(pair_cost(i, j) for i, j in pairs)
-            best = min(sum(pair_cost(i, perm[i]) for i in range(n))
+            total = sum(pair_cost(projected[i], objects[j])
+                        for i, j in pairs)
+            best = min(sum(pair_cost(projected[i], objects[perm[i]])
+                           for i in range(n))
                        for perm in itertools.permutations(range(n)))
             assert total <= best + 1e-9
 
     def test_hungarian_beats_all_permutations_up_to_six(self):
         rng = np.random.default_rng(2)
-        cfg = MatchConfig(gate=1e6)
         for n in (2, 4, 6):
             objects = [ObjectState("box", rng.normal(size=3) * 3,
                                    QUAT_IDENTITY.copy())
                        for j in range(n)]
-            projected = [(Pose(rng.normal(size=3) * 3, QUAT_IDENTITY.copy()),
-                          "box") for _ in range(n)]
-            pairs, _ = match(projected, objects, cfg)
-            cost = lambda i, j: np.linalg.norm(projected[i][0].p
+            projected = [box(rng.normal(size=3) * 3) for _ in range(n)]
+            pairs, _ = match(projected, objects, 1e6)
+            cost = lambda i, j: np.linalg.norm(projected[i].p_wo
                                                - objects[j].p_wo)
             total = sum(cost(i, j) for i, j in pairs)
             for perm in itertools.permutations(range(n)):
@@ -121,12 +130,58 @@ class TestMatch:
         rng = np.random.default_rng(3)
         objects = [ObjectState("box", rng.normal(size=3),
                                QUAT_IDENTITY.copy()) for j in range(4)]
-        projected = [(Pose(rng.normal(size=3), QUAT_IDENTITY.copy()), "box")
-                     for _ in range(4)]
-        out1 = match(projected, objects, MatchConfig(gate=50.0))
-        out2 = match(projected, objects, MatchConfig(gate=50.0))
+        projected = [box(rng.normal(size=3)) for _ in range(4)]
+        out1 = match(projected, objects, 50.0)
+        out2 = match(projected, objects, 50.0)
         assert out1 == out2
 
+
+    def test_closer_of_two_measurements_updates_the_object(self):
+        # one pair must be infeasible (the mug sees no mug measurement); a
+        # large constant cost for it once rounded 0.30 and 0.31 to a tie
+        objects = [box([0, 0, 0]),
+                   ObjectState("mug", np.array([5.0, 0, 0]),
+                               QUAT_IDENTITY.copy())]
+        projected = [box([0.31, 0, 0]), box([0.30, 0, 0])]
+        assert match(projected, objects, 6.0) == ([(1, 0)], [0])
+
+
+def object_lists(min_size, max_size):
+    vec = hs.lists(hs.floats(-0.5, 0.5), min_size=3, max_size=3)
+    one = hs.tuples(hs.sampled_from(["box", "mug"]), vec, vec).map(
+        lambda t: ObjectState(t[0], np.array(t[1]),
+                              quat_of(exp_so3(np.array(t[2])))))
+    return hs.lists(one, min_size=min_size, max_size=max_size)
+
+
+@settings(max_examples=200, deadline=None)
+@given(object_lists(0, 4), object_lists(1, 4), hs.floats(0.05, 8.0))
+def test_match_has_most_feasible_pairs_then_least_cost(projected, objects,
+                                                        gate):
+    """Brute-force oracle: every one-to-one choice of feasible pairs."""
+    def feasible(i, j):
+        return (projected[i].obj_class == objects[j].obj_class
+                and pair_cost(projected[i], objects[j]) <= gate)
+
+    best = (0, 0.0)
+    for choice in itertools.product([None] + list(range(len(objects))),
+                                    repeat=len(projected)):
+        used = [j for j in choice if j is not None]
+        if len(set(used)) < len(used) or not all(
+                feasible(i, j) for i, j in enumerate(choice) if j is not None):
+            continue
+        total = sum(pair_cost(projected[i], objects[j])
+                    for i, j in enumerate(choice) if j is not None)
+        if (-len(used), total) < (-best[0], best[1]):
+            best = (len(used), total)
+
+    pairs, unmatched = match(projected, objects, gate)
+    assert all(feasible(i, j) for i, j in pairs)
+    assert sorted([i for i, _ in pairs] + unmatched) == list(
+        range(len(projected)))
+    assert len(pairs) == best[0]
+    assert sum(pair_cost(projected[i], objects[j])
+               for i, j in pairs) == pytest.approx(best[1], abs=1e-9)
 
 class TestInitializeObject:
     def test_first_seen_becomes_anchor(self):
@@ -142,9 +197,9 @@ class TestInitializeObject:
         meas = measurement(rng.normal(size=3),
                            quat_of(exp_so3(rng.normal(size=3))))
         s2, _ = initialize_object(s, np.eye(21) * 1e-6, meas)
-        pose = project_measurement(s.core, s.extr, meas)
-        assert_allclose(s2.objects[0].p_wo, pose.p)
-        assert_allclose(s2.objects[0].q_wo, pose.q)
+        obj = project_measurement(s.core, s.extr, meas)
+        assert_allclose(s2.objects[0].p_wo, obj.p_wo)
+        assert_allclose(s2.objects[0].q_wo, obj.q_wo)
         assert len(s2.objects) == 1
         assert s2.objects[0].obj_class == "box"
 

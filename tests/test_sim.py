@@ -4,7 +4,7 @@ from numpy.testing import assert_allclose
 from scipy.stats import kstest, maxwell
 
 from orekf.gating import GatingConfig, Verdict, aorp
-from orekf.geom3 import Pose, QUAT_IDENTITY, log_so3, rot_of
+from orekf.geom3 import QUAT_IDENTITY, log_so3, rot_of
 from orekf.presets import PRESETS
 from orekf.propagation import ImuNoise
 from orekf.sim import (
@@ -16,6 +16,7 @@ from orekf.sim import (
     visibility,
 )
 from orekf.state import ObjectState
+from tests.test_geom3 import Pose
 
 G = np.array([0.0, 0.0, 9.81])
 
