@@ -20,7 +20,7 @@ from .config import ConfigError, RunConfig, parse_config
 from .gating import METHODS
 from .replay import ReplayLogError, _f, read_log, write_log
 from .runner import MODELS, run_filter
-from .sim import SIGMA_MODES, gen_imu, gen_measurements
+from .sim import IMU_RATE, SIGMA_MODES, gen_imu, gen_measurements
 
 
 def child_seed(base: int, *key) -> int:
@@ -31,7 +31,7 @@ def child_seed(base: int, *key) -> int:
 
 def simulate_streams(cfg: RunConfig, seed: int):
     traj = cfg.trajectory()
-    imu = gen_imu(traj, cfg.imu_noise(), cfg.imu_rate, seed)
+    imu = gen_imu(traj, cfg.imu_noise(), IMU_RATE, seed)
     meas = gen_measurements(traj, cfg.world(), cfg.sensor_spec(), seed)
     return imu, meas
 

@@ -13,7 +13,7 @@ from .gating import GatingConfig
 from .presets import ScenarioPreset, get_preset
 from .propagation import ImuNoise
 from .runner import FilterSetup
-from .sim import SensorSpec, TrajectorySpec
+from .sim import IMU_RATE, SensorSpec, TrajectorySpec
 
 SCHEMA_VERSION = 1
 
@@ -32,30 +32,15 @@ class RunConfig:
     sigma_mode: str = "exact"
     sigma_p: tuple = (0.02, 0.02, 0.02)
     sigma_theta: tuple = (0.0875, 0.0875, 0.0875)
-    fixed_sigma_p: tuple = (0.04, 0.04, 0.04)
-    fixed_sigma_theta: tuple = (0.628, 0.628, 0.628)
-    sigma_floor: float = 1e-6
-    imu_rate: float = 200.0
     cam_rate: float = 20.0
     imu_sigma_acc: float = 0.02
     imu_sigma_gyro: float = 0.002
-    imu_sigma_accel_bias: float = 5e-4
-    imu_sigma_gyro_bias: float = 5e-5
-    gravity: tuple = (0.0, 0.0, 9.81)
-    fov_deg: float = 90.0
-    max_range: float = 10.0
     chi2_alpha: float = 0.05
-    aor_tau_p: float = 0.15
-    aor_tau_theta: float = 0.35
-    aorp_tau_p: float = 0.10
-    aorp_tau_theta: float = 0.175
     match_gate: float = 6.0
-    divergence_bound: float = 10.0
     runs_per_cell: int = 100
     sweep_sigma_p: tuple = (0.01, 0.05, 0.1, 0.2, 0.3)
     sweep_sigma_theta: tuple = (0.0175, 0.0875, 0.175, 0.35)
     episodes: tuple | None = None        # None: take the preset's schedule
-    episode_excess: float = 2.5
 
     def scenario(self) -> ScenarioPreset:
         return get_preset(self.preset)
@@ -80,37 +65,26 @@ class RunConfig:
             sigma_p=np.asarray(self.sigma_p, dtype=float),
             sigma_theta=np.asarray(self.sigma_theta, dtype=float),
             mode=self.sigma_mode,
-            fixed_sigma_p=np.asarray(self.fixed_sigma_p, dtype=float),
-            fixed_sigma_theta=np.asarray(self.fixed_sigma_theta, dtype=float),
             episodes=self.episode_schedule(),
-            episode_excess=self.episode_excess,
-            sigma_floor=self.sigma_floor,
-            fov_deg=self.fov_deg,
-            max_range=self.max_range,
         )
 
     def imu_noise(self) -> ImuNoise:
-        return ImuNoise(self.imu_sigma_acc, self.imu_sigma_gyro,
-                        self.imu_sigma_accel_bias, self.imu_sigma_gyro_bias,
-                        np.asarray(self.gravity, dtype=float))
+        return ImuNoise(self.imu_sigma_acc, self.imu_sigma_gyro)
 
     def filter_setup(self) -> FilterSetup:
         return FilterSetup(
             imu_noise=self.imu_noise(),
             filter_type=self.filter,
-            gating=GatingConfig(
-                method=self.gating, chi2_alpha=self.chi2_alpha,
-                aor_tau_p=self.aor_tau_p, aor_tau_theta=self.aor_tau_theta,
-                aorp_tau_p=self.aorp_tau_p,
-                aorp_tau_theta=self.aorp_tau_theta),
+            gating=GatingConfig(method=self.gating,
+                                chi2_alpha=self.chi2_alpha),
             match_gate=self.match_gate,
-            divergence_bound=self.divergence_bound,
         )
 
     def validate(self):
         """Check the config by building what a run builds from it; the
         filter, gating method and sigma mode are checked by their owners
-        (runner.MODELS, gating.METHODS, sim.SIGMA_MODES)."""
+        (runner.MODELS, gating.METHODS, sim.SIGMA_MODES). Every number is
+        finite and none is negative."""
         try:
             self.scenario()
         except KeyError as exc:
@@ -122,9 +96,18 @@ class RunConfig:
         if not (self.sweep_sigma_p and self.sweep_sigma_theta):
             raise ConfigError("the sweep grid needs at least one sigma_p and "
                               "one sigma_theta")
-        if self.imu_rate <= 0 or self.cam_rate <= 0:
-            raise ConfigError("rates must be positive")
-        ratio = self.imu_rate / self.cam_rate
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.name in _STR_FIELDS or value is None:
+                continue
+            value = np.asarray(value, dtype=float)
+            if not np.all(np.isfinite(value)):
+                raise ConfigError(f"{f.name} must be finite")
+            if np.any(value < 0):
+                raise ConfigError(f"{f.name} must not be negative")
+        if self.cam_rate <= 0:
+            raise ConfigError("cam_rate must be positive")
+        ratio = IMU_RATE / self.cam_rate
         if abs(ratio - round(ratio)) > 1e-9:
             raise ConfigError("camera rate must divide the IMU rate")
         try:
@@ -135,11 +118,9 @@ class RunConfig:
         return self
 
 
-_TUPLE_FIELDS = {"sigma_p", "sigma_theta", "fixed_sigma_p",
-                 "fixed_sigma_theta", "gravity", "sweep_sigma_p",
+_TUPLE_FIELDS = {"sigma_p", "sigma_theta", "sweep_sigma_p",
                  "sweep_sigma_theta", "episodes"}
-_TRIPLE_FIELDS = {"sigma_p", "sigma_theta", "fixed_sigma_p",
-                  "fixed_sigma_theta", "gravity"}
+_TRIPLE_FIELDS = {"sigma_p", "sigma_theta"}
 _STR_FIELDS = {"preset", "filter", "gating", "sigma_mode"}
 _INT_FIELDS = {"seed", "runs_per_cell"}
 

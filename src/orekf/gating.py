@@ -57,7 +57,7 @@ class GatingConfig:
             raise ValueError("chi2_alpha must be in (0, 1)")
         for name in ("aor_tau_p", "aor_tau_theta", "aorp_tau_p",
                      "aorp_tau_theta"):
-            if getattr(self, name) <= 0:
+            if not getattr(self, name) > 0:
                 raise ValueError(f"{name} must be positive")
 
 

@@ -281,11 +281,6 @@ def quat_exp(theta_vec: np.ndarray) -> np.ndarray:
     return out
 
 
-def inverse_position(p_ab: np.ndarray, rot_ab: np.ndarray) -> np.ndarray:
-    """Translation of the inverted transform: p_BA = -R_AB^T p_AB."""
-    return -(np.asarray(rot_ab).T @ np.asarray(p_ab, dtype=float))
-
-
 def dR_transpose_sandwich(q_rot: np.ndarray, r_rot: np.ndarray,
                           s_rot: np.ndarray) -> np.ndarray:
     """Derivative of the rotation-valued expression Q R^T S w.r.t. a right
@@ -297,13 +292,3 @@ def dR_transpose_vector(q_rot: np.ndarray, r_rot: np.ndarray,
                         v: np.ndarray) -> np.ndarray:
     """Derivative of Q R^T v w.r.t. a right perturbation of R: Q [R^T v]x."""
     return np.asarray(q_rot) @ skew(np.asarray(r_rot).T @ np.asarray(v, dtype=float))
-
-
-def dR_transpose_vector_jr(q_rot: np.ndarray, phi: np.ndarray,
-                           v: np.ndarray) -> np.ndarray:
-    """Variant of dR_transpose_vector for R parametrized as exp_so3(phi) with
-    an additive perturbation of phi: Q [R^T v]x J_r(phi). Verification only;
-    the filter Jacobians use the right-perturbation form (J_r -> I there)."""
-    r_rot = exp_so3(phi)
-    return dR_transpose_vector(q_rot, r_rot, v) @ right_jacobian(phi)
-

@@ -31,7 +31,7 @@ class ImuNoise:
         self.gravity = np.asarray(self.gravity, dtype=float)
         for name in ("sigma_acc", "sigma_gyro", "sigma_accel_bias",
                      "sigma_gyro_bias"):
-            if getattr(self, name) < 0:
+            if not getattr(self, name) >= 0:
                 raise ValueError(f"{name} must be nonnegative")
 
 

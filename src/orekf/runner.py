@@ -51,6 +51,8 @@ class FilterSetup:
                 f"rotation; it cannot gate with {self.gating.method!r}")
         if not self.match_gate > 0:
             raise ValueError("match_gate must be positive")
+        if not self.divergence_bound > 0:
+            raise ValueError("divergence_bound must be positive")
 
 
 def _initial_state(meas_stream: MeasurementStream) -> tuple:

@@ -36,6 +36,11 @@ TWO_PI = 2.0 * np.pi
 
 SIGMA_MODES = ("exact", "fixed", "episodes")
 
+IMU_RATE = 200.0           # Hz
+FIXED_SIGMA_P = 0.04       # m, reported on every axis in the "fixed" mode
+FIXED_SIGMA_THETA = 0.628  # rad, likewise
+SIGMA_FLOOR = 1e-6         # the least sigma any mode reports
+
 
 def _as3(x) -> np.ndarray:
     """A float copy of x, so a spec owns its arrays; a scalar fills 3."""
@@ -155,19 +160,15 @@ def camera_forward_extrinsics() -> Extrinsics:
 
 @dataclass
 class SensorSpec:
-    """Camera and measurement-noise settings; the IMU rate is gen_imu's and
-    the camera mount is camera_forward_extrinsics()."""
+    """Camera and measurement-noise settings; the camera mount is
+    camera_forward_extrinsics()."""
 
     cam_rate: float = 20.0
     sigma_p: np.ndarray = field(default_factory=lambda: np.full(3, 0.01))
     sigma_theta: np.ndarray = field(default_factory=lambda: np.full(3, 0.0175))
     mode: str = "exact"
-    fixed_sigma_p: np.ndarray = field(default_factory=lambda: np.full(3, 0.04))
-    fixed_sigma_theta: np.ndarray = field(
-        default_factory=lambda: np.full(3, 0.628))
     episodes: list = field(default_factory=list)  # (t_start, t_end, factor)
     episode_excess: float = 2.5
-    sigma_floor: float = 1e-6
     fov_deg: float = 90.0
     max_range: float = 10.0
 
@@ -177,8 +178,6 @@ class SensorSpec:
                              f"one of {SIGMA_MODES}")
         self.sigma_p = _as3(self.sigma_p)
         self.sigma_theta = _as3(self.sigma_theta)
-        self.fixed_sigma_p = _as3(self.fixed_sigma_p)
-        self.fixed_sigma_theta = _as3(self.fixed_sigma_theta)
 
     def rotation_inflation(self, t: float):
         """(true, reported) rotation-noise inflation factors at time t.
@@ -339,7 +338,6 @@ def gen_measurements(traj: TrajectorySpec, world: list,
     noise_p = rng.standard_normal((n_ticks + 1, n_o, 3))
     noise_r = rng.standard_normal((n_ticks + 1, n_o, 3))
 
-    floor = sensor.sigma_floor
     visible = _in_frustum(p_co, sensor.fov_deg, sensor.max_range)
     inflations = np.array([sensor.rotation_inflation(tk) for tk in t])
     sig_theta_true = sensor.sigma_theta * inflations[:, 0:1]  # (K, 3)
@@ -351,11 +349,12 @@ def gen_measurements(traj: TrajectorySpec, world: list,
     ticks = []
     for k in range(n_ticks + 1):
         if sensor.mode == "fixed":
-            rep_p = np.maximum(sensor.fixed_sigma_p, floor)
-            rep_t = np.maximum(sensor.fixed_sigma_theta, floor)
+            rep_p = np.full(3, FIXED_SIGMA_P)
+            rep_t = np.full(3, FIXED_SIGMA_THETA)
         else:
-            rep_p = np.maximum(sensor.sigma_p, floor)
-            rep_t = np.maximum(sensor.sigma_theta * inflations[k, 1], floor)
+            rep_p = np.maximum(sensor.sigma_p, SIGMA_FLOOR)
+            rep_t = np.maximum(sensor.sigma_theta * inflations[k, 1],
+                               SIGMA_FLOOR)
         frame = []
         for j, obj in enumerate(world):
             if not visible[k, j]:

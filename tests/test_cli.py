@@ -1,5 +1,6 @@
 import copy
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -36,6 +37,14 @@ sigma_mode = exact
 sigma_p = 0.02
 sigma_theta = 0.05
 """
+
+
+# fields a config could once set; their values now live with their owners
+REMOVED_FIELDS = [
+    "match_w_p", "match_w_theta", "fixed_sigma_p", "fixed_sigma_theta",
+    "sigma_floor", "imu_rate", "imu_sigma_accel_bias", "imu_sigma_gyro_bias",
+    "gravity", "fov_deg", "max_range", "aor_tau_p", "aor_tau_theta",
+    "aorp_tau_p", "aorp_tau_theta", "divergence_bound", "episode_excess"]
 
 
 def write(tmp_path, text, name="cfg.txt"):
@@ -123,9 +132,9 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match="line 10: match_gate"):
             parse_config(write(tmp_path, text))
 
-    @pytest.mark.parametrize("key", ["match_w_p", "match_w_theta"])
-    def test_removed_match_weight_exits_2_with_line_number(self, tmp_path,
-                                                           capsys, key):
+    @pytest.mark.parametrize("key", REMOVED_FIELDS)
+    def test_removed_field_exits_2_with_line_number(self, tmp_path, capsys,
+                                                    key):
         cfg_path = write(tmp_path, BASE_CONFIG + f"{key} = 1.0\n")
         assert main(["run", "--config", str(cfg_path),
                      "--out", str(tmp_path / "x")]) == 2
@@ -142,12 +151,36 @@ class TestConfigParsing:
          "line 3: unknown sigma mode 'bogus'"),
         ("duration = -1\nseed = 2\n", "line 3: duration must be positive"),
         ("sweep_sigma_p =\nseed = 2\n", "line 3: the sweep grid needs"),
+        ("duration = nan\nseed = 2\n", "line 3: duration must be finite"),
+        ("duration = inf\nseed = 2\n", "line 3: duration must be finite"),
+        ("cam_rate = nan\nseed = 2\n", "line 3: cam_rate must be finite"),
+        ("sigma_p = 0.1, nan, 0.1\nseed = 2\n",
+         "line 3: sigma_p must be finite"),
+        ("imu_sigma_acc = nan\nseed = 2\n",
+         "line 3: imu_sigma_acc must be finite"),
+        ("sweep_sigma_p = 0.1, nan\nseed = 2\n",
+         "line 3: sweep_sigma_p must be finite"),
+        ("episodes = 1, 2, nan\nseed = 2\n",
+         "line 3: episodes must be finite"),
+        ("sigma_theta = -0.1\nseed = 2\n",
+         "line 3: sigma_theta must not be negative"),
+        ("sweep_sigma_theta = 0.1, -0.1\nseed = 2\n",
+         "line 3: sweep_sigma_theta must not be negative"),
+        ("imu_sigma_gyro = -1\nseed = 2\n",
+         "line 3: imu_sigma_gyro must not be negative"),
+        ("episodes = 1, 2, -3\nseed = 2\n",
+         "line 3: episodes must not be negative"),
+        ("seed = -1\nduration = 1\n", "line 3: seed must not be negative"),
         # a conflict is complete only at the later of its two lines
         ("filter = inverse\nseed = 2\ngating = chi2p\nduration = 1\n",
          "line 5: the inverse filter"),
         ("gating = chi2p\nseed = 2\nfilter = inverse\nduration = 1\n",
          "line 5: the inverse filter"),
     ], ids=["filter", "sigma_mode", "duration", "empty_sweep_grid",
+            "duration_nan", "duration_inf", "cam_rate_nan", "sigma_p_nan",
+            "imu_sigma_acc_nan", "sweep_sigma_p_nan", "episodes_nan",
+            "sigma_theta_negative", "sweep_sigma_theta_negative",
+            "imu_sigma_gyro_negative", "episodes_negative", "seed_negative",
             "gating_completes_conflict", "filter_completes_conflict"])
     def test_invalid_value_names_its_line(self, tmp_path, body, message):
         text = "config_version = 1\npreset = preset01\n" + body
@@ -189,6 +222,13 @@ class TestConfigParsing:
         assert preset.world[0].p_wo[0] == x0
         assert preset.trajectory.pos_amp[0] == amp0
 
+    def test_readme_config_block_parses(self, tmp_path):
+        readme = Path(__file__).parents[1] / "README.md"
+        section = readme.read_text(encoding="utf-8").split(
+            "### Config format", 1)[1]
+        block = section.split("```\n", 2)[1]
+        parse_config(write(tmp_path, block))
+
     def test_scalar_expands_to_triple(self, tmp_path):
         cfg = parse_config(write(tmp_path, BASE_CONFIG))
         assert len(cfg.sigma_theta) == 3
@@ -225,6 +265,15 @@ class TestRunCommand:
                      "--out", str(tmp_path / "x")]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error:") and "camera rate" in err
+
+    @pytest.mark.parametrize("key", ["cam_rate", "duration"])
+    def test_non_finite_value_exits_2_with_line_number(self, tmp_path, capsys,
+                                                       key):
+        text = BASE_CONFIG.replace("duration = 3.0\n", "") + f"{key} = nan\n"
+        assert main(["run", "--config", str(write(tmp_path, text)),
+                     "--out", str(tmp_path / "x")]) == 2
+        assert capsys.readouterr().err == \
+            f"error: line 9: {key} must be finite\n"
 
     def test_missing_config_file(self, tmp_path):
         assert main(["run", "--config", str(tmp_path / "nope.txt"),

@@ -235,5 +235,10 @@ def test_config_validation():
         GatingConfig(method="bogus")
     with pytest.raises(ValueError):
         GatingConfig(chi2_alpha=1.5)
-    with pytest.raises(ValueError):
-        GatingConfig(aor_tau_p=-1.0)
+    with pytest.raises(ValueError, match="chi2_alpha"):
+        GatingConfig(chi2_alpha=np.nan)
+    for name in ("aor_tau_p", "aor_tau_theta", "aorp_tau_p",
+                 "aorp_tau_theta"):
+        for value in (0.0, -1.0, np.nan):
+            with pytest.raises(ValueError, match=f"{name} must be positive"):
+                GatingConfig(**{name: value})

@@ -137,6 +137,14 @@ def test_dt_validation():
         propagate(s, cov, ImuSample(0.0, G, np.zeros(3)), 0.2, quiet_noise())
 
 
+@pytest.mark.parametrize("value", [-1.0, np.nan])
+@pytest.mark.parametrize("name", ["sigma_acc", "sigma_gyro",
+                                  "sigma_accel_bias", "sigma_gyro_bias"])
+def test_noise_density_must_not_be_negative(name, value):
+    with pytest.raises(ValueError, match=name):
+        ImuNoise(**{name: value})
+
+
 def test_quaternion_norm_over_1e6_steps():
     # one million propagation steps through the production batch path
     rng = np.random.default_rng(3)

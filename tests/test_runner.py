@@ -239,6 +239,11 @@ class TestSetupValidation:
         with pytest.raises(ValueError):
             FilterSetup(filter_type="ukf")
 
+    @pytest.mark.parametrize("bound", [0.0, -1.0, np.nan])
+    def test_divergence_bound_must_be_positive(self, bound):
+        with pytest.raises(ValueError, match="divergence_bound"):
+            FilterSetup(divergence_bound=bound)
+
 
 class TestInverseEquivalenceZeroNoise:
     def test_both_filters_near_truth_without_noise(self):

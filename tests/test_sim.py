@@ -8,6 +8,7 @@ from orekf.geom3 import QUAT_IDENTITY, log_so3, rot_of
 from orekf.presets import PRESETS
 from orekf.propagation import ImuNoise
 from orekf.sim import (
+    SIGMA_FLOOR,
     SensorSpec,
     TrajectorySpec,
     camera_forward_extrinsics,
@@ -162,7 +163,7 @@ class TestGenMeasurements:
             t_co = t_wc.inverse().compose(obj_pose)
             assert_allclose(m.p_co, t_co.p, atol=1e-12)
             assert_allclose(m.q_co, t_co.q, atol=1e-12)
-            assert_allclose(m.var_p, sensor.sigma_floor**2)
+            assert_allclose(m.var_p, SIGMA_FLOOR**2)
 
     def test_reproducible_and_seed_sensitive(self):
         traj = lively_traj(2.0)
