@@ -1,18 +1,18 @@
 """Outlier rejection: chi-square tests and reported-uncertainty thresholds,
 each in a full-measurement and a partial (position / rotation block) variant.
 
-All functions are pure; quantiles are computed once per (dof, alpha) by
-numeric inversion of the regularized incomplete gamma function.
+All functions are pure; a chi-square quantile is computed once per
+(dof, prob) by bisection on the distribution's tail probabilities.
 """
 
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 from functools import lru_cache, partial
 
 import numpy as np
-from scipy.special import gammaincinv
 
 from .state import symmetrize
 from .update_direct import PoseMeasurement, well_conditioned
@@ -61,10 +61,60 @@ class GatingConfig:
                 raise ValueError(f"{name} must be positive")
 
 
+def _chi2_sf(dof: int, x: float) -> float:
+    """Survival function of the chi-square distribution with an integer dof,
+    in closed form: e^(-y) sum_{k < dof/2} y^k / k! (y = x/2) for even dof,
+    erfc(sqrt(y)) plus the series in y^(k - 1/2) / Gamma(k + 1/2) for odd."""
+    y = 0.5 * x
+    if dof % 2:
+        total, a = math.erfc(math.sqrt(y)), 1.5
+        term = math.exp(-y) * math.sqrt(y) / math.gamma(a)
+    else:
+        total, a, term = 0.0, 1.0, math.exp(-y)
+    for k in range(dof // 2):
+        total += term
+        term *= y / (a + k)
+    return total
+
+
+def _chi2_cdf(dof: int, x: float) -> float:
+    """Distribution function of the chi-square distribution as the power
+    series of the regularized lower incomplete gamma function, accurate
+    where it is small (where 1 - sf would cancel)."""
+    a, y = 0.5 * dof, 0.5 * x
+    term = math.exp(-y) * y ** a / math.gamma(a + 1.0)
+    total, k = 0.0, 1
+    while total + term != total:
+        total += term
+        term *= y / (a + k)
+        k += 1
+    return total
+
+
 @lru_cache(maxsize=64)
 def chi2_quantile(dof: int, prob: float) -> float:
-    """Quantile of the chi-square distribution with dof degrees of freedom."""
-    return 2.0 * float(gammaincinv(0.5 * dof, prob))
+    """Quantile of the chi-square distribution with an integer dof >= 1:
+    bisection to the last bit on the smaller of its two tails."""
+    if not (dof >= 1 and dof == int(dof) and 0.0 < prob < 1.0):
+        raise ValueError("chi2_quantile needs an integer dof >= 1 and a "
+                         "probability in (0, 1)")
+    if prob < 0.5:
+        def below(x):
+            return _chi2_cdf(dof, x) < prob
+    else:
+        def below(x):
+            return _chi2_sf(dof, x) > 1.0 - prob
+    lo, hi = 0.0, 1.0
+    while below(hi):
+        lo, hi = hi, 2.0 * hi
+    mid = 0.5 * (lo + hi)
+    while lo < mid < hi:
+        if below(mid):
+            lo = mid
+        else:
+            hi = mid
+        mid = 0.5 * (lo + hi)
+    return mid
 
 
 def _compose(reject_p: bool, reject_r: bool) -> Verdict:

@@ -3,8 +3,9 @@ initialization of objects seen for the first time."""
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .geom3 import log_so3, quat_mul, rot_of
 from .state import FullState, ObjectState, add_object
@@ -35,25 +36,74 @@ def match(projected, objects, gate: float):
     indices left over (these trigger initialization).
     """
     n_meas, n_obj = len(projected), len(objects)
-    if n_meas == 0 or n_obj == 0:
-        return [], list(range(n_meas))
-    cost = np.zeros((n_meas, n_obj))
-    feasible = np.zeros((n_meas, n_obj), dtype=bool)
+    feasible = {}
     for i, meas in enumerate(projected):
         for j, obj in enumerate(objects):
             if meas.obj_class == obj.obj_class:
-                cost[i, j] = (float(np.linalg.norm(meas.p_wo - obj.p_wo))
-                              + geodesic_angle(meas.q_wo, obj.q_wo))
-                feasible[i, j] = cost[i, j] <= gate
-    # an infeasible pair costs more than every feasible pair together, so
-    # one more feasible pair always lowers the total; a fixed large constant
-    # would round the feasible costs away
-    cost[~feasible] = 1.0 + cost[feasible].sum()
-    rows, cols = linear_sum_assignment(cost)
-    pairs = [(int(i), int(j)) for i, j in zip(rows, cols) if feasible[i, j]]
+                cost = (float(np.linalg.norm(meas.p_wo - obj.p_wo))
+                        + geodesic_angle(meas.q_wo, obj.q_wo))
+                if cost <= gate:
+                    feasible[i, j] = cost
+    if (len({i for i, _ in feasible}) == len(feasible)
+            == len({j for _, j in feasible})):
+        # every measurement and every object has at most one feasible
+        # partner, so the feasible pairs are the optimum
+        pairs = list(feasible)
+    else:
+        # an infeasible pair costs more than every feasible pair together,
+        # so one more feasible pair always lowers the total; a fixed large
+        # constant would round the feasible costs away
+        big = 1.0 + sum(feasible.values())
+        pairs = [p for p in min_cost_assignment(
+            [[feasible.get((i, j), big) for j in range(n_obj)]
+             for i in range(n_meas)]) if p in feasible]
     matched_meas = {i for i, _ in pairs}
     unmatched = [i for i in range(n_meas) if i not in matched_meas]
-    return sorted(pairs), unmatched
+    return pairs, unmatched
+
+
+def min_cost_assignment(cost):
+    """A least-cost one-to-one assignment of min(rows, columns) pairs in a
+    cost matrix given as a sequence of rows of finite floats, as (row, column)
+    pairs sorted by row: shortest augmenting paths over dual potentials
+    (the Hungarian method), O(rows^2 columns). It is exact; among equal-cost
+    assignments it may choose other pairs than another solver would.
+    """
+    n, m = len(cost), len(cost[0]) if cost else 0
+    if n > m:
+        return sorted((i, j) for j, i in min_cost_assignment(
+            list(zip(*cost))))
+    if not all(math.isfinite(c) for row in cost for c in row):
+        raise ValueError("assignment costs must be finite")
+    # 1-based rows and columns; column 0 is the root of each search
+    u, v = [0.0] * (n + 1), [0.0] * (m + 1)
+    row_of, way = [0] * (m + 1), [0] * (m + 1)
+    for i in range(1, n + 1):
+        row_of[0], j0 = i, 0
+        slack, used = [math.inf] * (m + 1), [False] * (m + 1)
+        while row_of[j0]:
+            used[j0] = True
+            i0, delta, j1 = row_of[j0], math.inf, 0
+            row = cost[i0 - 1]
+            for j in range(1, m + 1):
+                if not used[j]:
+                    reduced = row[j - 1] - u[i0] - v[j]
+                    if reduced < slack[j]:
+                        slack[j], way[j] = reduced, j0
+                    if slack[j] < delta:
+                        delta, j1 = slack[j], j
+            for j in range(m + 1):
+                if used[j]:
+                    u[row_of[j]] += delta
+                    v[j] -= delta
+                else:
+                    slack[j] -= delta
+            j0 = j1
+        while j0:
+            row_of[j0] = row_of[way[j0]]
+            j0 = way[j0]
+    return sorted((row_of[j] - 1, j - 1) for j in range(1, m + 1)
+                  if row_of[j])
 
 
 def initialize_object(state: FullState, cov: np.ndarray,

@@ -178,6 +178,18 @@ class SensorSpec:
                              f"one of {SIGMA_MODES}")
         self.sigma_p = _as3(self.sigma_p)
         self.sigma_theta = _as3(self.sigma_theta)
+        for name in ("sigma_p", "sigma_theta"):
+            sigma = getattr(self, name)
+            if not np.all(np.isfinite(sigma) & (sigma >= 0)):
+                raise ValueError(f"{name} must be finite and not negative")
+        for name in ("cam_rate", "episode_excess", "fov_deg", "max_range"):
+            if not 0 < getattr(self, name) < np.inf:
+                raise ValueError(f"{name} must be positive and finite")
+        for t0, t1, factor in self.episodes:
+            if not (-np.inf < t0 < t1 < np.inf and 0 < factor < np.inf):
+                raise ValueError(f"episodes: window ({t0}, {t1}, {factor}) "
+                                 "needs start < end and a positive factor, "
+                                 "all finite")
 
     def rotation_inflation(self, t: float):
         """(true, reported) rotation-noise inflation factors at time t.

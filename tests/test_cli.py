@@ -55,12 +55,14 @@ def write(tmp_path, text, name="cfg.txt"):
 
 positive = hs.floats(1e-6, 1e3, allow_subnormal=False)
 triples = hs.tuples(positive, positive, positive)
+# an episode window (start, end, factor) ends after it starts
+windows = triples.map(lambda t: (t[0], t[0] + t[1], t[2]))
 
 
 @hs.composite
 def configs(draw):
     ftype, method = draw(hs.sampled_from(SETUPS))
-    episodes = draw(hs.none() | hs.lists(triples, max_size=3))
+    episodes = draw(hs.none() | hs.lists(windows, max_size=3))
     return RunConfig(
         preset=draw(hs.sampled_from(sorted(PRESETS))),
         duration=draw(positive),
@@ -170,6 +172,8 @@ class TestConfigParsing:
          "line 3: imu_sigma_gyro must not be negative"),
         ("episodes = 1, 2, -3\nseed = 2\n",
          "line 3: episodes must not be negative"),
+        ("episodes = 2, 1, 3\nseed = 2\n",
+         "line 3: episodes: window \\(2.0, 1.0, 3.0\\) needs start < end"),
         ("seed = -1\nduration = 1\n", "line 3: seed must not be negative"),
         # a conflict is complete only at the later of its two lines
         ("filter = inverse\nseed = 2\ngating = chi2p\nduration = 1\n",
@@ -180,7 +184,8 @@ class TestConfigParsing:
             "duration_nan", "duration_inf", "cam_rate_nan", "sigma_p_nan",
             "imu_sigma_acc_nan", "sweep_sigma_p_nan", "episodes_nan",
             "sigma_theta_negative", "sweep_sigma_theta_negative",
-            "imu_sigma_gyro_negative", "episodes_negative", "seed_negative",
+            "imu_sigma_gyro_negative", "episodes_negative",
+            "episodes_end_before_start", "seed_negative",
             "gating_completes_conflict", "filter_completes_conflict"])
     def test_invalid_value_names_its_line(self, tmp_path, body, message):
         text = "config_version = 1\npreset = preset01\n" + body

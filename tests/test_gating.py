@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
+from scipy.special import gammaincinv
 
 from orekf.gating import (
     GatingConfig,
@@ -17,8 +18,9 @@ from orekf.geom3 import QUAT_IDENTITY
 
 def quantile_oracle(dof, prob, tol=1e-10):
     """Invert the chi-square CDF by bisection on a quadrature-integrated pdf;
-    fully independent of scipy's incomplete-gamma path. The substitution
-    x = u^2 removes the integrable singularity at 0 for odd dof."""
+    independent of chi2_quantile's tail formulas and of scipy. The
+    substitution x = u^2 removes the integrable singularity at 0 for odd
+    dof."""
     from math import gamma
 
     norm = 2.0 ** (dof / 2.0) * gamma(dof / 2.0)
@@ -59,6 +61,22 @@ class TestQuantile:
 
     def test_deterministic(self):
         assert chi2_quantile(6, 0.95) == chi2_quantile(6, 0.95)
+
+    @pytest.mark.parametrize("dof", [3, 6])
+    def test_against_incomplete_gamma_inverse(self, dof):
+        """scipy's gammaincinv is the oracle, from alpha = 1e-6 (far upper
+        tail) to alpha = 0.999 (near zero, where 1 - sf would cancel)."""
+        alphas = np.geomspace(1e-6, 0.999, 400)
+        q = np.array([chi2_quantile(dof, 1.0 - a) for a in alphas])
+        expect = 2.0 * gammaincinv(0.5 * dof, 1.0 - alphas)
+        assert_allclose(q, expect, rtol=1e-14, atol=0.0)
+        assert np.all(np.diff(q) < 0)
+
+    @pytest.mark.parametrize("dof, prob", [(0, 0.5), (2.5, 0.5), (3, 0.0),
+                                           (3, 1.0), (3, np.nan)])
+    def test_rejects_a_bad_argument(self, dof, prob):
+        with pytest.raises(ValueError):
+            chi2_quantile(dof, prob)
 
 
 class TestChi2Full:

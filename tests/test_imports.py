@@ -1,6 +1,10 @@
-"""Every module-level import in src/orekf is used or re-exported."""
+"""Every module-level import in src/orekf is used or re-exported, and the
+CLI starts without scipy."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -43,3 +47,16 @@ def test_finds_an_unused_import():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def test_cli_imports_no_scipy():
+    """scipy is a test dependency only: importing it would cost most of a
+    CLI start. A fresh interpreter sees only what orekf itself imports."""
+    code = ("import sys, orekf.cli; print(sorted(m for m in sys.modules "
+            "if m == 'scipy' or m.startswith('scipy.')))")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(Path(orekf.__file__).parents[1]),
+         os.environ.get("PYTHONPATH", "")]))
+    result = subprocess.run([sys.executable, "-c", code], env=env,
+                            capture_output=True, text=True, check=True)
+    assert result.stdout.strip() == "[]"

@@ -5,10 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hs
 from numpy.testing import assert_allclose
+from scipy.optimize import linear_sum_assignment
 
 from orekf.geom3 import QUAT_IDENTITY, exp_so3, quat_of
 from orekf.matching import geodesic_angle, initialize_object, match, \
-    project_measurement
+    min_cost_assignment, project_measurement
 from orekf.state import CoreState, Extrinsics, FullState, ObjectState
 from orekf.update_direct import PoseMeasurement
 from tests.test_geom3 import Pose
@@ -182,6 +183,37 @@ def test_match_has_most_feasible_pairs_then_least_cost(projected, objects,
     assert len(pairs) == best[0]
     assert sum(pair_cost(projected[i], objects[j])
                for i, j in pairs) == pytest.approx(best[1], abs=1e-9)
+
+
+def cost_matrices(elements):
+    return hs.integers(1, 6).flatmap(lambda cols: hs.lists(
+        hs.lists(elements, min_size=cols, max_size=cols),
+        min_size=1, max_size=6))
+
+
+@settings(max_examples=300, deadline=None)
+@given(cost_matrices(hs.integers(0, 5).map(float))
+       | cost_matrices(hs.floats(0.0, 100.0, allow_subnormal=False)))
+def test_assignment_costs_what_scipy_costs(cost):
+    """scipy's linear_sum_assignment is the oracle for the total cost. On
+    exact ties (frequent with small integer costs) the two solvers may
+    choose different pairs of equal cost, so only the totals are compared,
+    with the pair count and the one-to-one property."""
+    pairs = min_cost_assignment(cost)
+    rows, cols = linear_sum_assignment(np.array(cost))
+    assert len(pairs) == len(rows) == min(len(cost), len(cost[0]))
+    assert len({i for i, _ in pairs}) == len({j for _, j in pairs}) \
+        == len(pairs)
+    assert pairs == sorted(pairs)
+    total = sum(cost[i][j] for i, j in pairs)
+    assert total == pytest.approx(sum(cost[i][j] for i, j in zip(rows, cols)),
+                                  rel=1e-12, abs=1e-12)
+
+
+def test_assignment_rejects_non_finite_costs():
+    with pytest.raises(ValueError, match="finite"):
+        min_cost_assignment([[0.0, np.inf], [1.0, 2.0]])
+
 
 class TestInitializeObject:
     def test_first_seen_becomes_anchor(self):

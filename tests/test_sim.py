@@ -21,6 +21,17 @@ from tests.test_geom3 import Pose
 
 G = np.array([0.0, 0.0, 9.81])
 
+# one value per SensorSpec field that a spec must reject, naming the field
+BAD_SPEC_VALUES = [
+    ("sigma_p", -0.1),
+    ("sigma_theta", np.nan),
+    ("fov_deg", np.nan),
+    ("max_range", -1.0),
+    ("cam_rate", 0.0),
+    ("episode_excess", -1.0),
+    ("episodes", [(1.0, 0.5, 2.0)]),
+]
+
 
 def lively_traj(duration=10.0):
     return TrajectorySpec(duration=duration,
@@ -263,3 +274,9 @@ class TestGenMeasurements:
     def test_spec_validation(self):
         with pytest.raises(ValueError):
             SensorSpec(mode="bogus")
+
+    @pytest.mark.parametrize("field, value", BAD_SPEC_VALUES,
+                             ids=[field for field, _ in BAD_SPEC_VALUES])
+    def test_spec_rejects_a_bad_value_by_name(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            SensorSpec(**{field: value})
