@@ -6,17 +6,12 @@ raised report. Compare all five gating strategies on identical data.
 
 import numpy as np
 
-from orekf.gating import GatingConfig
+from orekf.cli import execute_run
+from orekf.config import RunConfig
 from orekf.metrics import rmse_position
 from orekf.presets import get_preset
-from orekf.propagation import ImuNoise
-from orekf.runner import FilterSetup, run_filter
-from orekf.sim import SensorSpec, gen_imu, gen_measurements
 
 preset = get_preset("preset09")  # single mug + two ambiguity windows
-noise = ImuNoise(sigma_acc=0.02, sigma_gyro=0.008)
-sensor_kw = dict(sigma_p=0.02, sigma_theta=0.0875, mode="episodes",
-                 episodes=preset.episodes, episode_excess=4.0)
 
 print("episode windows:", preset.episodes)
 print(f"reported rotation sigma inside a window: "
@@ -25,21 +20,17 @@ print(f"reported rotation sigma inside a window: "
 
 print(f"{'method':8s} {'mean RMSE [m]':>14s} {'diverged':>9s}   verdict counts")
 for method in ("none", "chi2", "chi2p", "aor", "aorp"):
+    cfg = RunConfig(preset="preset09", gating=method, sigma_mode="episodes",
+                    sigma_p=(0.02,) * 3, sigma_theta=(0.0875,) * 3,
+                    imu_sigma_gyro=0.008)
     rmses, div = [], 0
-    counts = None
     for seed in range(8):
-        imu = gen_imu(preset.trajectory, noise, 200.0, seed=seed)
-        meas = gen_measurements(preset.trajectory, preset.world,
-                                SensorSpec(**sensor_kw), seed=seed)
-        setup = FilterSetup(imu_noise=noise,
-                            gating=GatingConfig(method=method))
-        rec = run_filter(imu, meas, setup)
+        _, _, rec = execute_run(cfg, seed)
         if rec.diverged:
             div += 1
         else:
             rmses.append(rmse_position(rec))
-        counts = rec.counts
-    reject = {k: v for k, v in counts.items() if k.startswith("rejected")}
+    reject = {k: v for k, v in rec.counts.items() if k.startswith("rejected")}
     print(f"{method:8s} {np.mean(rmses) if rmses else float('nan'):14.4f} "
           f"{div:9d}   {reject}")
 

@@ -104,7 +104,7 @@ def _sweep_task(args):
     return i, j, k, seed, _record_metrics(record)
 
 
-def run_sweep_cells(cfg: RunConfig, parallel: int = 1):
+def run_sweep_cells(cfg: RunConfig, parallel: int):
     """Run the full (sigma_p x sigma_theta) grid, runs_per_cell runs each.
 
     Results come back keyed by (cell, run) index, so the output order is

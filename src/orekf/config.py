@@ -66,6 +66,7 @@ class RunConfig:
             sigma_theta=np.asarray(self.sigma_theta, dtype=float),
             mode=self.sigma_mode,
             episodes=self.episode_schedule(),
+            episode_excess=self.scenario().episode_excess,
         )
 
     def imu_noise(self) -> ImuNoise:
@@ -110,6 +111,11 @@ class RunConfig:
         ratio = IMU_RATE / self.cam_rate
         if abs(ratio - round(ratio)) > 1e-9:
             raise ConfigError("camera rate must divide the IMU rate")
+        ticks = self.duration * self.cam_rate
+        if round(ticks) < 1 or abs(ticks - round(ticks)) > 1e-9:
+            raise ConfigError(f"duration must be a whole number of camera "
+                              f"periods, at least one; {self.duration:g} s "
+                              f"at {self.cam_rate:g} Hz is {ticks:g}")
         try:
             self.filter_setup()
             self.sensor_spec()
@@ -206,17 +212,3 @@ def _validation_error(values: dict):
         return str(exc)
     return None
 
-
-def write_config(path, cfg: RunConfig):
-    """Write a config back out (the tests use it to make config files)."""
-    lines = [f"config_version = {SCHEMA_VERSION}"]
-    for f in fields(RunConfig):
-        val = getattr(cfg, f.name)
-        if val is None:
-            continue
-        if isinstance(val, tuple):
-            lines.append(f"{f.name} = " + ", ".join(repr(v) for v in val))
-        else:
-            lines.append(f"{f.name} = {val}")
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")

@@ -1,7 +1,8 @@
 """Bundled scenario presets: trajectory, object constellation, and episode
 schedule. Ten scenes at desk scale with diverse motion, object counts,
 distances and viewing angles; presets 9 and 10 carry ambiguity-episode
-schedules that inflate the true rotation noise over ~30% / ~25% of the run.
+schedules that inflate the true rotation noise over ~30% / ~25% of the run,
+preset 9 with a larger episode excess (see SensorSpec.rotation_inflation).
 """
 
 from __future__ import annotations
@@ -11,7 +12,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .geom3 import quat_exp
-from .sim import TrajectorySpec
+from .sim import SensorSpec, TrajectorySpec
 from .state import ObjectState
 
 
@@ -20,6 +21,7 @@ class ScenarioPreset:
     trajectory: TrajectorySpec
     world: list                                    # ObjectState; id = index
     episodes: list = field(default_factory=list)  # (t_start, t_end, factor)
+    episode_excess: float = SensorSpec.episode_excess
 
 
 def _obj(obj_class, p, rotvec=(0.0, 0.0, 0.0)):
@@ -90,7 +92,7 @@ def _build_presets():
         _traj([0.28, 0.24, 0.12], [0.20, 0.24, 0.27], [0.9, 0.0, 1.8],
               [0.12, 0.09, 0.10], [0.13, 0.18, 0.11], [0.0, 1.2, 2.4]),
         [_obj("mug", [1.0, 0.0, 0.0], [0.0, 0.0, 0.9])],
-        episodes=[(4.0, 7.0, 6.0), (12.0, 15.0, 6.0)])
+        episodes=[(4.0, 7.0, 6.0), (12.0, 15.0, 6.0)], episode_excess=4.0)
 
     presets["preset10"] = ScenarioPreset(
         _traj([0.24, 0.30, 0.16], [0.24, 0.17, 0.29], [2.0, 0.6, 0.0],

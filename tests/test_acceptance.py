@@ -1,17 +1,19 @@
 """Acceptance suite: one test per acceptance criterion, each printing a
-PASS line with the measured numbers. Criteria 4 and 7 run the full Monte
-Carlo protocols, so this module is the long pole of the test run."""
+PASS line with the measured numbers. Criteria 4, 5 and 7 run the paper's
+Monte Carlo protocols through orekf.cli (run_sweep_cells, execute_run), so
+this module is the long pole of the test run."""
 
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
+from orekf import cli
 from orekf import update_direct as ud
 from orekf import update_inverse as ui
-from orekf.cli import child_seed, main
-from orekf.gating import GatingConfig, chi2_quantile
+from orekf.cli import main
+from orekf.config import RunConfig
+from orekf.gating import chi2_quantile
 from orekf.geom3 import dR_transpose_sandwich, dR_transpose_vector, exp_so3, \
     log_so3
 from orekf.metrics import anees, rmse_position
@@ -22,12 +24,10 @@ from orekf.sim import SensorSpec, gen_imu, gen_measurements
 from tests.test_update_direct import consistent_measurement, fd_jacobian, \
     random_state
 
-GRID_P = (0.01, 0.05, 0.1, 0.2, 0.3)
-GRID_T = (0.0175, 0.0875, 0.175, 0.35)
-
-# noise model used by the Monte Carlo campaigns (criteria 4, 5b, 7)
-SWEEP_IMU = dict(sigma_acc=0.15, sigma_gyro=0.008)
-EPISODE_IMU = dict(sigma_acc=0.02, sigma_gyro=0.008)
+# the episode campaigns (criteria 5b, 7): preset09's ambiguity windows, with
+# the true excess over the reported rotation noise set by the scene
+EPISODE_RUN = dict(preset="preset09", sigma_p=(0.02,) * 3,
+                   sigma_theta=(0.0875,) * 3, imu_sigma_gyro=0.008)
 
 
 def test_criterion_1_jacobians_match_finite_differences():
@@ -120,47 +120,25 @@ def test_criterion_3_zero_noise_equivalence_on_every_preset():
           f"(worst gap {worst_gap * 1000:.4f} mm)")
 
 
-def _sweep_cell_task(args):
-    i, j, k = args
-    preset = get_preset("preset02")
-    noise = ImuNoise(**SWEEP_IMU)
-    seed = child_seed(0, i, j, k)
-    imu = gen_imu(preset.trajectory, noise, 200.0, seed=seed)
-    meas = gen_measurements(
-        preset.trajectory, preset.world,
-        SensorSpec(sigma_p=GRID_P[i], sigma_theta=GRID_T[j], mode="exact"),
-        seed=seed)
-    out = {}
-    for ftype in ("direct", "inverse"):
-        rec = run_filter(imu, meas, FilterSetup(imu_noise=noise,
-                                                filter_type=ftype))
-        out[ftype] = float("nan") if rec.diverged else rmse_position(rec)
-    return i, j, k, out["direct"], out["inverse"]
-
-
 def test_criterion_4_noise_sweep_orderings():
-    runs = 100
     threads = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") \
         else (os.cpu_count() or 1)
     workers = max(2, min(4, threads))
     # the 10-minute budget assumes a laptop (4+ hardware threads); on a
     # smaller machine it scales by the missing parallelism
     budget = 600.0 * max(1.0, 4.0 / threads)
-    t0 = time.perf_counter()
-    tasks = [(i, j, k) for i in range(5) for j in range(4)
-             for k in range(runs)]
-    direct = np.full((5, 4, runs), np.nan)
-    inverse = np.full((5, 4, runs), np.nan)
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        for i, j, k, d_val, i_val in pool.map(_sweep_cell_task, tasks,
-                                              chunksize=16):
-            direct[i, j, k] = d_val
-            inverse[i, j, k] = i_val
-    elapsed = time.perf_counter() - t0
+    # the RunConfig defaults are the criterion-4 grid, 100 runs per cell
+    runs = RunConfig.runs_per_cell
 
-    d_mean = np.nanmean(direct, axis=2)
-    d_std = np.nanstd(direct, axis=2, ddof=1)
-    i_mean = np.nanmean(inverse, axis=2)
+    def sweep(ftype):
+        cfg = RunConfig(preset="preset02", filter=ftype, imu_sigma_acc=0.15,
+                        imu_sigma_gyro=0.008)
+        return cli.sweep_stats(cfg, cli.run_sweep_cells(cfg, workers))
+
+    t0 = time.perf_counter()
+    d_mean, d_std, _ = sweep("direct")
+    i_mean, _, _ = sweep("inverse")
+    elapsed = time.perf_counter() - t0
 
     # (a) near-identical first column: relative difference w.r.t. the larger
     for i in range(5):
@@ -190,33 +168,17 @@ def test_criterion_4_noise_sweep_orderings():
 
 def test_criterion_5_consistency_and_misspecification():
     # (a) exact reporting, gating off: position ANEES in [0.8, 1.3]
-    preset = get_preset("preset01")
-    noise = ImuNoise()
-    vals = []
-    for seed in range(100):
-        imu = gen_imu(preset.trajectory, noise, 200.0, seed=seed)
-        meas = gen_measurements(preset.trajectory, preset.world,
-                                SensorSpec(sigma_p=0.02, sigma_theta=0.05,
-                                           mode="exact"), seed=seed)
-        vals.append(anees(run_filter(imu, meas, FilterSetup(imu_noise=noise))))
-    exact_anees = float(np.mean(vals))
+    exact = RunConfig(preset="preset01", sigma_p=(0.02,) * 3,
+                      sigma_theta=(0.05,) * 3)
+    exact_anees = float(np.mean([anees(cli.execute_run(exact, seed)[2])
+                                 for seed in range(100)]))
     assert 0.8 <= exact_anees <= 1.3
 
     # (b) fixed (mis-specified) covariance on an episode-bearing preset:
     # ANEES departs from [0.5, 2.0]
-    preset9 = get_preset("preset09")
-    noise9 = ImuNoise(**EPISODE_IMU)
-    vals_f = []
-    for seed in range(40):
-        imu = gen_imu(preset9.trajectory, noise9, 200.0, seed=seed)
-        meas = gen_measurements(
-            preset9.trajectory, preset9.world,
-            SensorSpec(sigma_p=0.02, sigma_theta=0.0875, mode="fixed",
-                       episodes=preset9.episodes, episode_excess=4.0),
-            seed=seed)
-        vals_f.append(anees(run_filter(imu, meas,
-                                       FilterSetup(imu_noise=noise9))))
-    fixed_anees = float(np.mean(vals_f))
+    fixed = RunConfig(sigma_mode="fixed", **EPISODE_RUN)
+    fixed_anees = float(np.mean([anees(cli.execute_run(fixed, seed)[2])
+                                 for seed in range(40)]))
     assert fixed_anees < 0.5 or fixed_anees > 2.0
     print(f"\nPASS criterion 5: exact-mode position ANEES {exact_anees:.3f} "
           f"in [0.8, 1.3] over 100 runs; fixed-covariance ANEES "
@@ -246,20 +208,14 @@ def test_criterion_6_chi2_gating_calibration():
 
 
 def test_criterion_7_partial_rejection_superiority():
-    preset = get_preset("preset09")
-    noise = ImuNoise(**EPISODE_IMU)
-    sensor_kw = dict(sigma_p=0.02, sigma_theta=0.0875, mode="episodes",
-                     episodes=preset.episodes, episode_excess=4.0)
+    episodes = get_preset("preset09").episodes
     means = {}
     diverged = {}
     for method in ("none", "chi2", "chi2p", "aor", "aorp"):
         vals, div = [], 0
+        cfg = RunConfig(sigma_mode="episodes", gating=method, **EPISODE_RUN)
         for seed in range(20):
-            imu = gen_imu(preset.trajectory, noise, 200.0, seed=seed)
-            meas = gen_measurements(preset.trajectory, preset.world,
-                                    SensorSpec(**sensor_kw), seed=seed)
-            rec = run_filter(imu, meas, FilterSetup(
-                imu_noise=noise, gating=GatingConfig(method=method)))
+            _, _, rec = cli.execute_run(cfg, seed)
             if rec.diverged:
                 div += 1
             else:
@@ -267,8 +223,8 @@ def test_criterion_7_partial_rejection_superiority():
         means[method] = float(np.mean(vals)) if vals else float("inf")
         diverged[method] = div
     # during episodes the reported sigma_theta crosses both thresholds
-    assert 0.0875 * preset.episodes[0][2] > 0.35  # AOR threshold
-    assert 0.0875 * preset.episodes[0][2] > 0.175  # AORP threshold
+    assert 0.0875 * episodes[0][2] > 0.35  # AOR threshold
+    assert 0.0875 * episodes[0][2] > 0.175  # AORP threshold
     # (a) full aleatoric rejection dead-reckons through the episodes
     assert diverged["aor"] >= 1 or means["aor"] >= 1.5 * means["aorp"]
     # (b) partial rejection never diverges and wins overall

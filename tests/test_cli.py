@@ -1,5 +1,5 @@
 import copy
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -11,18 +11,18 @@ from orekf import cli
 from orekf.cli import (
     build_parser,
     child_seed,
-    cmd_run,
     cmd_sweep,
     execute_run,
     main,
 )
-from orekf.config import ConfigError, RunConfig, parse_config, write_config
+from orekf.config import ConfigError, RunConfig, parse_config
 from orekf.gating import METHODS
 from orekf.metrics import rmse_position
 from orekf.presets import PRESETS, get_preset
+from orekf.propagation import ImuNoise
 from orekf.replay import ReplayLogError, read_log, write_log
-from orekf.runner import MODELS, run_filter
-from orekf.sim import SIGMA_MODES
+from orekf.runner import MODELS, FilterSetup, run_filter
+from orekf.sim import SIGMA_MODES, SensorSpec, gen_imu, gen_measurements
 from tests.test_runner import SETUPS
 
 
@@ -53,6 +53,19 @@ def write(tmp_path, text, name="cfg.txt"):
     return path
 
 
+def write_config(path, cfg: RunConfig):
+    """Write cfg as a config file: every field that is set, a tuple as a
+    comma-separated list."""
+    lines = ["config_version = 1"]
+    for f in fields(RunConfig):
+        val = getattr(cfg, f.name)
+        if isinstance(val, tuple):
+            val = ", ".join(repr(v) for v in val)
+        if val is not None:
+            lines.append(f"{f.name} = {val}")
+    path.write_text("\n".join(lines) + "\n")
+
+
 positive = hs.floats(1e-6, 1e3, allow_subnormal=False)
 triples = hs.tuples(positive, positive, positive)
 # an episode window (start, end, factor) ends after it starts
@@ -63,16 +76,18 @@ windows = triples.map(lambda t: (t[0], t[0] + t[1], t[2]))
 def configs(draw):
     ftype, method = draw(hs.sampled_from(SETUPS))
     episodes = draw(hs.none() | hs.lists(windows, max_size=3))
+    cam_rate = draw(hs.sampled_from([1.0, 10.0, 20.0, 40.0, 200.0]))
     return RunConfig(
         preset=draw(hs.sampled_from(sorted(PRESETS))),
-        duration=draw(positive),
+        # a run lasts a whole number of camera periods
+        duration=draw(hs.integers(1, 1000)) / cam_rate,
         seed=draw(hs.integers(0, 2**32 - 1)),
         filter=ftype,
         gating=method,
         sigma_mode=draw(hs.sampled_from(SIGMA_MODES)),
         sigma_p=draw(triples),
         sigma_theta=draw(triples),
-        cam_rate=draw(hs.sampled_from([1.0, 10.0, 20.0, 40.0, 200.0])),
+        cam_rate=cam_rate,
         chi2_alpha=draw(hs.floats(1e-6, 0.999, allow_subnormal=False)),
         match_gate=draw(positive),
         runs_per_cell=draw(hs.integers(1, 1000)),
@@ -155,6 +170,11 @@ class TestConfigParsing:
         ("sweep_sigma_p =\nseed = 2\n", "line 3: the sweep grid needs"),
         ("duration = nan\nseed = 2\n", "line 3: duration must be finite"),
         ("duration = inf\nseed = 2\n", "line 3: duration must be finite"),
+        # the camera ticks and the IMU samples end together
+        ("duration = 0.03\nseed = 2\n", "line 3: duration must be a whole "
+         "number of camera periods, at least one; 0.03 s at 20 Hz is 0.6$"),
+        ("duration = 1.01\nseed = 2\n", "line 3: duration must be a whole "
+         "number of camera periods, at least one; 1.01 s at 20 Hz is 20.2$"),
         ("cam_rate = nan\nseed = 2\n", "line 3: cam_rate must be finite"),
         ("sigma_p = 0.1, nan, 0.1\nseed = 2\n",
          "line 3: sigma_p must be finite"),
@@ -181,7 +201,8 @@ class TestConfigParsing:
         ("gating = chi2p\nseed = 2\nfilter = inverse\nduration = 1\n",
          "line 5: the inverse filter"),
     ], ids=["filter", "sigma_mode", "duration", "empty_sweep_grid",
-            "duration_nan", "duration_inf", "cam_rate_nan", "sigma_p_nan",
+            "duration_nan", "duration_inf", "duration_under_one_period",
+            "duration_off_the_camera_grid", "cam_rate_nan", "sigma_p_nan",
             "imu_sigma_acc_nan", "sweep_sigma_p_nan", "episodes_nan",
             "sigma_theta_negative", "sweep_sigma_theta_negative",
             "imu_sigma_gyro_negative", "episodes_negative",
@@ -283,6 +304,51 @@ class TestRunCommand:
     def test_missing_config_file(self, tmp_path):
         assert main(["run", "--config", str(tmp_path / "nope.txt"),
                      "--out", str(tmp_path / "x")]) == 2
+
+
+def by_hand(preset, duration, noise, sensor, seed, **setup):
+    """A run's simulate-and-filter chain built from the library."""
+    scene = get_preset(preset)
+    traj = replace(scene.trajectory, duration=duration)
+    imu = gen_imu(traj, noise, 200.0, seed=seed)
+    meas = gen_measurements(traj, scene.world, sensor, seed=seed)
+    return run_filter(imu, meas, FilterSetup(imu_noise=noise, **setup))
+
+
+@pytest.mark.parametrize("mode", ["fixed", "episodes"])
+@pytest.mark.parametrize("preset, excess, duration", [
+    ("preset09", 4.0, 5.0), ("preset10", 2.5, 6.0)])
+def test_the_scene_sets_the_episode_excess(mode, preset, excess, duration):
+    """A config run equals the chain built by hand with the scene's excess,
+    bit for bit; the duration reaches into the first episode."""
+    cfg = RunConfig(preset=preset, duration=duration, sigma_mode=mode,
+                    sigma_p=(0.02,) * 3, imu_sigma_gyro=0.008).validate()
+    _, _, record = execute_run(cfg, 3)
+    noise = ImuNoise(sigma_acc=0.02, sigma_gyro=0.008)
+    hand = {x: by_hand(preset, duration, noise, SensorSpec(
+        sigma_p=0.02, sigma_theta=0.0875, mode=mode,
+        episodes=get_preset(preset).episodes, episode_excess=x), 3)
+        for x in (excess, 1.0)}
+    for f in fields(record):
+        a, b = getattr(record, f.name), getattr(hand[excess], f.name)
+        assert (a.tobytes() == b.tobytes() if isinstance(a, np.ndarray)
+                else a == b), f.name
+    assert record.p_est.tobytes() != hand[1.0].p_est.tobytes()
+
+
+@pytest.mark.parametrize("ftype", ["direct", "inverse"])
+def test_sweep_task_is_the_hand_built_criterion_4_chain(ftype):
+    """A sweep task of the criterion-4 campaign (its grid is the RunConfig
+    default) equals that cell's chain built by hand."""
+    cfg = RunConfig(preset="preset02", filter=ftype, duration=2.0,
+                    imu_sigma_acc=0.15, imu_sigma_gyro=0.008)
+    _, _, _, seed, met = cli._sweep_task((cfg, 4, 3, 7))
+    assert seed == child_seed(0, 4, 3, 7)
+    record = by_hand("preset02", 2.0, ImuNoise(sigma_acc=0.15,
+                                               sigma_gyro=0.008),
+                     SensorSpec(sigma_p=0.3, sigma_theta=0.35), seed,
+                     filter_type=ftype)
+    assert repr(met) == repr(cli._record_metrics(record))
 
 
 class TestReplay:
