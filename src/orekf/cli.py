@@ -19,7 +19,7 @@ from . import metrics as mt
 from .config import ConfigError, RunConfig, parse_config
 from .gating import METHODS
 from .replay import ReplayLogError, _f, read_log, write_log
-from .runner import MODELS, run_filter
+from .runner import MODELS, run_filter, run_lockstep
 from .sim import IMU_RATE, SIGMA_MODES, gen_imu, gen_measurements
 
 
@@ -95,36 +95,55 @@ def cmd_run(cfg: RunConfig, out_dir: Path) -> dict:
     return met
 
 
+# Consecutive sweep tasks that run in lockstep, and the unit of work a pool
+# worker receives. Per-run outputs do not depend on it; larger batches hold
+# more runs' streams and records in memory at once.
+BATCH = 8
+
+
+def _sweep_batch(tasks):
+    """Simulate and filter consecutive tasks (cfg, i, j, k) of one sweep in
+    lockstep; returns (i, j, k, seed, metrics) per task, in task order."""
+    cfg = tasks[0][0]
+    seeds = [child_seed(cfg.seed, i, j, k) for _, i, j, k in tasks]
+    streams = [simulate_streams(
+        replace(cfg, sigma_p=(cfg.sweep_sigma_p[i],) * 3,
+                sigma_theta=(cfg.sweep_sigma_theta[j],) * 3), seed)
+        for (_, i, j, _), seed in zip(tasks, seeds)]
+    records = run_lockstep(streams, cfg.filter_setup())
+    return [(i, j, k, seed, _record_metrics(record))
+            for (_, i, j, k), seed, record in zip(tasks, seeds, records)]
+
+
 def _sweep_task(args):
-    cfg, i, j, k = args
-    seed = child_seed(cfg.seed, i, j, k)
-    cell = replace(cfg, sigma_p=(cfg.sweep_sigma_p[i],) * 3,
-                   sigma_theta=(cfg.sweep_sigma_theta[j],) * 3)
-    _, _, record = execute_run(cell, seed)
-    return i, j, k, seed, _record_metrics(record)
+    """One sweep task (cfg, i, j, k) on its own: the one-task batch."""
+    return _sweep_batch([args])[0]
 
 
 def run_sweep_cells(cfg: RunConfig, parallel: int):
     """Run the full (sigma_p x sigma_theta) grid, runs_per_cell runs each.
 
-    Results come back keyed by (cell, run) index, so the output order is
-    independent of completion order and identical for any worker count.
+    The tasks run in batches of BATCH consecutive (cell, run) indices, in
+    lockstep within a batch; a pool of at most `parallel` workers takes one
+    batch at a time, and a sweep of one batch runs in this process. Results
+    come back keyed by (cell, run) index, so the output is independent of
+    completion order, batching and worker count.
     """
     tasks = [(cfg, i, j, k)
              for i in range(len(cfg.sweep_sigma_p))
              for j in range(len(cfg.sweep_sigma_theta))
              for k in range(cfg.runs_per_cell)]
+    batches = [tasks[b:b + BATCH] for b in range(0, len(tasks), BATCH)]
     results = {}
     # a pool starts all of its workers at the first task
-    workers = min(parallel, len(tasks))
+    workers = min(parallel, len(batches))
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            for i, j, k, seed, met in pool.map(_sweep_task, tasks,
-                                               chunksize=8):
-                results[(i, j, k)] = (seed, met)
+            done = list(pool.map(_sweep_batch, batches))
     else:
-        for task in tasks:
-            i, j, k, seed, met = _sweep_task(task)
+        done = map(_sweep_batch, batches)
+    for batch in done:
+        for i, j, k, seed, met in batch:
             results[(i, j, k)] = (seed, met)
     return results
 

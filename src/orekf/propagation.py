@@ -35,56 +35,37 @@ class ImuNoise:
                 raise ValueError(f"{name} must be nonnegative")
 
 
-def propagate_batch(state: st.FullState, cov: np.ndarray, acc: np.ndarray,
-                    gyro: np.ndarray, dt: float, noise: ImuNoise):
-    """Propagate through several consecutive samples with one covariance
-    application.
+# (row, column) of the entries of a step's transition F that depend on the
+# sample, in the order _strapdown lists them: dv/dtheta = -R [a]x dt,
+# dv/dba = -R dt, dtheta/dtheta = I - [w]x dt
+_F_ROWS = np.array([3, 3, 3, 4, 4, 4, 5, 5, 5, 3, 3, 3, 4, 4, 4, 5, 5, 5,
+                    6, 6, 7, 7, 8, 8])
+_F_COLS = np.array([6, 7, 8, 6, 7, 8, 6, 7, 8, 12, 13, 14, 12, 13, 14, 12,
+                    13, 14, 7, 8, 6, 8, 6, 7])
+_F_FLAT = _F_ROWS * st.CORE_DIM + _F_COLS     # the same in a flattened F
 
-    The nominal state integrates at second order (midpoint attitude for the
-    velocity increment, trapezoid for position, exact exponential on the
-    attitude); the covariance uses the first-order discretized error-state
-    transition, with static, noise-free object and extrinsic blocks. The
-    per-step transitions are compounded (F_tot = F_n ... F_1, noise folded
-    through the later factors) and applied to the covariance once; the
-    single-step reference it matches up to floating-point association is
-    kept in tests/test_propagation.py. An infinite or NaN angular rate
-    makes the nominal state NaN.
+
+def _strapdown(core: st.CoreState, acc: list, gyro: list, dt: float,
+               gravity):
+    """Integrate the nominal core state through the samples (lists of
+    [x, y, z]) in scalar arithmetic.
+
+    Returns (p, v, q, entries): the final position, velocity and attitude
+    as lists, and one flat list of the 24 sample-dependent entries of each
+    step's transition F at _F_ROWS, _F_COLS.
     """
-    if not 0.0 < dt <= MAX_DT:
-        raise ValueError(f"dt={dt} outside (0, {MAX_DT}]")
-    acc = np.asarray(acc, dtype=float)
-    gyro = np.asarray(gyro, dtype=float)
-    n_steps = acc.shape[0]
-    core = state.core
     px, py, pz = (float(c) for c in core.p_wi)
     vx, vy, vz = (float(c) for c in core.v_wi)
     qx, qy, qz, qw = (float(c) for c in core.q_wi)
-    bg, ba = core.bias_gyro, core.bias_accel
-    bgx, bgy, bgz = (float(c) for c in bg)
-    bax, bay, baz = (float(c) for c in ba)
-    gx, gy, gz = (float(c) for c in noise.gravity)
-    acc_l = acc.tolist()
-    gyro_l = gyro.tolist()
-
-    f_tot = np.eye(st.CORE_DIM)
-    q_tot = np.zeros((st.CORE_DIM, st.CORE_DIM))
-    q_diag = np.zeros(st.CORE_DIM)
-    q_diag[st.VEL] = noise.sigma_acc**2 * dt
-    q_diag[st.ATT] = noise.sigma_gyro**2 * dt
-    q_diag[st.BG] = noise.sigma_gyro_bias**2 * dt
-    q_diag[st.BA] = noise.sigma_accel_bias**2 * dt
-    f_k = np.eye(st.CORE_DIM)
-    f_k[st.POS, st.VEL] = dt * np.eye(3)
-    f_k[st.ATT, st.BG] = -np.eye(3) * dt
+    bgx, bgy, bgz = (float(c) for c in core.bias_gyro)
+    bax, bay, baz = (float(c) for c in core.bias_accel)
+    gx, gy, gz = (float(c) for c in gravity)
     half_dt = 0.5 * dt
+    entries = []
 
-    for k in range(n_steps):
-        wx = gyro_l[k][0] - bgx
-        wy = gyro_l[k][1] - bgy
-        wz = gyro_l[k][2] - bgz
-        ax = acc_l[k][0] - bax
-        ay = acc_l[k][1] - bay
-        az = acc_l[k][2] - baz
+    for (ax, ay, az), (wx, wy, wz) in zip(acc, gyro):
+        wx, wy, wz = wx - bgx, wy - bgy, wz - bgz
+        ax, ay, az = ax - bax, ay - bay, az - baz
 
         # rotation matrix of the current attitude (for F and the midpoint)
         xx, yy, zz = qx * qx, qy * qy, qz * qz
@@ -151,44 +132,106 @@ def propagate_batch(state: st.FullState, cov: np.ndarray, acc: np.ndarray,
             inv_n = -inv_n
         qx, qy, qz, qw = nqx * inv_n, nqy * inv_n, nqz * inv_n, nqw * inv_n
 
-        # F blocks, written entrywise from the scalar rotation:
-        # dv/dtheta = -R [a]x dt, dv/dba = -R dt, dtheta/dtheta = I - [w]x dt
-        f_k[3, 6] = (r01 * az - r02 * ay) * -dt
-        f_k[3, 7] = (r02 * ax - r00 * az) * -dt
-        f_k[3, 8] = (r00 * ay - r01 * ax) * -dt
-        f_k[4, 6] = (r11 * az - r12 * ay) * -dt
-        f_k[4, 7] = (r12 * ax - r10 * az) * -dt
-        f_k[4, 8] = (r10 * ay - r11 * ax) * -dt
-        f_k[5, 6] = (r21 * az - r22 * ay) * -dt
-        f_k[5, 7] = (r22 * ax - r20 * az) * -dt
-        f_k[5, 8] = (r20 * ay - r21 * ax) * -dt
-        f_k[3, 12] = r00 * -dt
-        f_k[3, 13] = r01 * -dt
-        f_k[3, 14] = r02 * -dt
-        f_k[4, 12] = r10 * -dt
-        f_k[4, 13] = r11 * -dt
-        f_k[4, 14] = r12 * -dt
-        f_k[5, 12] = r20 * -dt
-        f_k[5, 13] = r21 * -dt
-        f_k[5, 14] = r22 * -dt
-        f_k[6, 7] = wz * dt
-        f_k[6, 8] = -wy * dt
-        f_k[7, 6] = -wz * dt
-        f_k[7, 8] = wx * dt
-        f_k[8, 6] = wy * dt
-        f_k[8, 7] = -wx * dt
-        f_tot = f_k @ f_tot
-        q_tot = f_k @ q_tot @ f_k.T
-        q_tot_diag = q_tot.reshape(-1)[:: st.CORE_DIM + 1]
-        q_tot_diag += q_diag
+        # F entries from the scalar rotation, in _F_ROWS/_F_COLS order
+        entries.extend((
+            (r01 * az - r02 * ay) * -dt, (r02 * ax - r00 * az) * -dt,
+            (r00 * ay - r01 * ax) * -dt, (r11 * az - r12 * ay) * -dt,
+            (r12 * ax - r10 * az) * -dt, (r10 * ay - r11 * ax) * -dt,
+            (r21 * az - r22 * ay) * -dt, (r22 * ax - r20 * az) * -dt,
+            (r20 * ay - r21 * ax) * -dt,
+            r00 * -dt, r01 * -dt, r02 * -dt, r10 * -dt, r11 * -dt, r12 * -dt,
+            r20 * -dt, r21 * -dt, r22 * -dt,
+            wz * dt, -wy * dt, -wz * dt, wx * dt, wy * dt, -wx * dt))
 
-    new_core = st.CoreState(np.array([px, py, pz]), np.array([vx, vy, vz]),
-                            np.array([qx, qy, qz, qw]), bg.copy(), ba.copy())
-    new_state = st.FullState(new_core, state.extr.copy(),
-                             [o.copy() for o in state.objects])
+    return [px, py, pz], [vx, vy, vz], [qx, qy, qz, qw], entries
+
+
+def _compound(entries: np.ndarray, dt: float, noise: ImuNoise):
+    """F_tot = F_n ... F_1 and the noise folded through the later factors,
+    from the F entries of each step of one run, (n, 24), or of R runs,
+    (n, R, 24); for R runs each factor is one stacked matmul."""
+    lead = entries.shape[1:-1]
+    q_diag = np.zeros(st.CORE_DIM)
+    q_diag[st.VEL] = noise.sigma_acc**2 * dt
+    q_diag[st.ATT] = noise.sigma_gyro**2 * dt
+    q_diag[st.BG] = noise.sigma_gyro_bias**2 * dt
+    q_diag[st.BA] = noise.sigma_accel_bias**2 * dt
+    flat = lead + (-1,)
+    f_k = np.zeros(lead + (st.CORE_DIM, st.CORE_DIM))
+    f_k_flat = f_k.reshape(flat)        # views that follow f_k, as f_k_t
+    f_k_flat[..., :: st.CORE_DIM + 1] = 1.0
+    f_k[..., st.POS, st.VEL] = dt * np.eye(3)
+    f_k[..., st.ATT, st.BG] = -np.eye(3) * dt
+    f_k_t = f_k.swapaxes(-1, -2)
+    # the 2-D identity broadcasts over the runs in the first product; every
+    # product F Q F^T lands in q_tot, so its diagonal is one fixed view
+    f_tot = np.eye(st.CORE_DIM)
+    q_tot = np.zeros_like(f_k)
+    q_tot_diag = q_tot.reshape(flat)[..., :: st.CORE_DIM + 1]
+    for step in entries:
+        f_k_flat[..., _F_FLAT] = step
+        f_tot = f_k @ f_tot
+        np.matmul(f_k @ q_tot, f_k_t, out=q_tot)
+        q_tot_diag += q_diag
+    return f_tot, q_tot
+
+
+def _apply(cov: np.ndarray, f_tot: np.ndarray, q_tot: np.ndarray):
+    """F P F^T + Q on the core rows and columns of one covariance or of a
+    stack of them; the other blocks are static and noise-free."""
     new_cov = np.empty_like(cov)
-    new_cov[: st.CORE_DIM, :] = f_tot @ cov[: st.CORE_DIM, :]
-    new_cov[st.CORE_DIM:, :] = cov[st.CORE_DIM:, :]
-    new_cov[:, : st.CORE_DIM] = new_cov[:, : st.CORE_DIM] @ f_tot.T
-    new_cov[: st.CORE_DIM, : st.CORE_DIM] += q_tot
-    return new_state, st.symmetrize(new_cov)
+    new_cov[..., : st.CORE_DIM, :] = f_tot @ cov[..., : st.CORE_DIM, :]
+    new_cov[..., st.CORE_DIM:, :] = cov[..., st.CORE_DIM:, :]
+    new_cov[..., :, : st.CORE_DIM] = (new_cov[..., :, : st.CORE_DIM]
+                                      @ f_tot.swapaxes(-1, -2))
+    new_cov[..., : st.CORE_DIM, : st.CORE_DIM] += q_tot
+    return st.symmetrize(new_cov)
+
+
+def _propagated(state: st.FullState, p, v, q) -> st.FullState:
+    core = state.core
+    new_core = st.CoreState(np.array(p), np.array(v), np.array(q),
+                            core.bias_gyro.copy(), core.bias_accel.copy())
+    return st.FullState(new_core, state.extr.copy(),
+                        [o.copy() for o in state.objects])
+
+
+def propagate_batch(state, cov: np.ndarray, acc, gyro, dt: float,
+                    noise: ImuNoise):
+    """Propagate through several consecutive samples with one covariance
+    application.
+
+    The nominal state integrates at second order (midpoint attitude for the
+    velocity increment, trapezoid for position, exact exponential on the
+    attitude); the covariance uses the first-order discretized error-state
+    transition, with static, noise-free object and extrinsic blocks. The
+    per-step transitions are compounded (F_tot = F_n ... F_1, noise folded
+    through the later factors) and applied to the covariance once; the
+    single-step reference it matches up to floating-point association is
+    kept in tests/test_propagation.py. An infinite or NaN angular rate
+    makes the nominal state NaN.
+
+    Several runs step in lockstep when cov is a stack (R, d, d): state,
+    acc and gyro then hold the R runs' values, with the same sample count,
+    and the result is (list of R states, (R, d, d) covariances), bit for
+    bit what R single calls return. Each run integrates its own nominal
+    state; the transitions of all runs compound and apply as stacked
+    products.
+    """
+    if not 0.0 < dt <= MAX_DT:
+        raise ValueError(f"dt={dt} outside (0, {MAX_DT}]")
+    if cov.ndim == 2:
+        p, v, q, entries = _strapdown(
+            state.core, np.asarray(acc, dtype=float).tolist(),
+            np.asarray(gyro, dtype=float).tolist(), dt, noise.gravity)
+        f_tot, q_tot = _compound(np.fromiter(entries, float, len(entries))
+                                 .reshape(-1, 24), dt, noise)
+        return _propagated(state, p, v, q), _apply(cov, f_tot, q_tot)
+    steps = [_strapdown(s.core, np.asarray(a, dtype=float).tolist(),
+                        np.asarray(g, dtype=float).tolist(), dt,
+                        noise.gravity)
+             for s, a, g in zip(state, acc, gyro)]
+    entries = np.array([e for *_, e in steps]).reshape(len(steps), -1, 24)
+    f_tot, q_tot = _compound(entries.swapaxes(0, 1), dt, noise)
+    return ([_propagated(s, p, v, q) for s, (p, v, q, _) in zip(state, steps)],
+            _apply(cov, f_tot, q_tot))

@@ -1,6 +1,8 @@
 """Filter execution loop: consume an IMU stream and a measurement stream,
-produce a RunRecord. The same loop serves freshly simulated and replayed
-streams, so replays are bit-identical to the original run."""
+produce a RunRecord. Several runs can step through the loop in lockstep
+and share stacked kernel calls (run_lockstep); run_filter is its one-run
+case. The same loop serves freshly simulated and replayed streams, so
+replays are bit-identical to the original run."""
 
 from __future__ import annotations
 
@@ -55,48 +57,232 @@ class FilterSetup:
             raise ValueError("divergence_bound must be positive")
 
 
-def _initial_state(meas_stream: MeasurementStream) -> tuple:
-    core = CoreState(meas_stream.truth_pos[0].copy(),
-                     meas_stream.truth_vel[0].copy(),
-                     meas_stream.truth_quat[0].copy(),
-                     np.zeros(3), np.zeros(3))
-    state = FullState(core, camera_forward_extrinsics(), [])
-    cov = np.eye(st.BASE_DIM) * INIT_VAR
-    return state, cov
+class _Run:
+    """One run's streams and loop state."""
+
+    def __init__(self, imu: ImuStream, meas_stream: MeasurementStream):
+        if len(meas_stream.t) == 0 or len(imu.t) == 0:
+            raise ValueError("a stream is empty: the filter starts from a "
+                             "camera tick and the IMU sample at its time")
+        fault = timing_fault(imu.t, meas_stream.t)
+        if fault:
+            raise ValueError(fault[2])
+        self.imu, self.meas = imu, meas_stream
+        self.n_cam = len(meas_stream.t) - 1
+        self.ratio = (len(imu.t) - 1) // self.n_cam if self.n_cam else 0
+        self.dt = float(imu.t[1] - imu.t[0]) if self.ratio else 0.0
+        core = CoreState(meas_stream.truth_pos[0].copy(),
+                         meas_stream.truth_vel[0].copy(),
+                         meas_stream.truth_quat[0].copy(),
+                         np.zeros(3), np.zeros(3))
+        self.state = FullState(core, camera_forward_extrinsics(), [])
+        self.cov = np.eye(st.BASE_DIM) * INIT_VAR
+        self.counts = {"accepted": 0, "rejected_all": 0,
+                       "rejected_position": 0, "rejected_rotation": 0,
+                       "degenerate": 0, "updates": 0, "skipped_updates": 0,
+                       "initialized": 0}
+        self.rec_pe, self.rec_qe, self.rec_cp, self.rec_ca = [], [], [], []
+        self.diverged = self.done = False
+
+    def samples(self, k: int):
+        """Midpoint-representative IMU samples of camera interval k, from
+        consecutive endpoints (trapezoidal measurement averaging)."""
+        i0, i1 = (k - 1) * self.ratio, k * self.ratio
+        imu = self.imu
+        return (0.5 * (imu.acc[i0:i1] + imu.acc[i0 + 1:i1 + 1]),
+                0.5 * (imu.gyro[i0:i1] + imu.gyro[i0 + 1:i1 + 1]))
+
+    def record(self, k: int, divergence_bound: float):
+        """Record tick k; mark the run diverged and done when the position
+        error exceeds the bound or is not a number."""
+        core = self.state.core
+        self.rec_pe.append(core.p_wi.copy())
+        self.rec_qe.append(core.q_wi.copy())
+        self.rec_cp.append(self.cov[st.POS, st.POS].copy())
+        self.rec_ca.append(self.cov[st.ATT, st.ATT].copy())
+        err = np.linalg.norm(core.p_wi - self.meas.truth_pos[k])
+        if not err <= divergence_bound:
+            self.diverged = self.done = True
+            log.info("diverged at t=%.2f (|e|=%.2f m)", self.meas.t[k], err)
+
+    def run_record(self) -> RunRecord:
+        meas, n = self.meas, len(self.rec_pe)
+        return RunRecord(meas.t[:n].copy(), meas.truth_pos[:n].copy(),
+                         meas.truth_quat[:n].copy(), np.array(self.rec_pe),
+                         np.array(self.rec_qe), np.array(self.rec_cp),
+                         np.array(self.rec_ca), diverged=self.diverged,
+                         counts=self.counts)
 
 
-def _update_frame(state, cov, frame, pairs, setup: FilterSetup, counts):
-    """Gate and apply every matched measurement of one camera frame.
+class _Frame:
+    """One run's matched measurements of a camera frame on their way
+    through innovation, gating and the update, which replaces state and
+    cov."""
 
-    The frame's innovation covariance S = H P H^T + R and H P are formed
-    once; gating tests diagonal blocks of S and the update uses the
-    principal submatrix of S and the rows of H P that gating kept.
-    """
-    model = MODELS[setup.filter_type]
-    measurements = [frame[mi] for mi, _ in pairs]
-    stacked, degenerate = ud.stack_frame(
-        state, [(oi, m) for (_, oi), m in zip(pairs, measurements)], model)
-    s, hp = ud.innovation(cov, stacked)
-    decisions = gt.gate_frame(setup.gating, s, stacked.residual, measurements,
-                              degenerate, partial_ok=model.partial_ok)
+    def __init__(self, state, cov, counts, frame, pairs, model):
+        self.state, self.cov, self.counts = state, cov, counts
+        self.measurements = [frame[mi] for mi, _ in pairs]
+        self.stacked, self.degenerate = ud.stack_frame(
+            state, [(oi, m) for (_, oi), m in zip(pairs, self.measurements)],
+            model)
+        self.partial_ok = model.partial_ok
+        self.s = self.hp = None
+
+
+def _groups(items, key):
+    """items grouped by key(item), in order of first appearance."""
+    if len(items) < 2:
+        return [items] if items else []
+    groups = {}
+    for item in items:
+        groups.setdefault(key(item), []).append(item)
+    return groups.values()
+
+
+def _shape(frame: _Frame):
+    return frame.stacked.jacobian.shape
+
+
+def _associate(run: _Run, frame, match_gate: float):
+    """Match the frame's measurements to the run's objects and initialize
+    the unmatched ones; returns the matched (measurement, object) pairs."""
+    state = run.state
+    projected = [project_measurement(state.core, state.extr, m)
+                 for m in frame]
+    pairs, unmatched = match(projected, state.objects, match_gate)
+    for mi in unmatched:
+        run.state, run.cov = initialize_object(run.state, run.cov, frame[mi])
+        run.counts["initialized"] += 1
+    return pairs
+
+
+def _propagate(runs, k: int, noise: ImuNoise):
+    """Propagate every run through camera interval k; runs with the same
+    timing and error dimension step as one stack."""
+    for group in _groups(runs, lambda r: (r.ratio, r.dt, r.cov.shape)):
+        samples = [r.samples(k) for r in group]
+        if len(group) == 1:
+            run, (acc, gyro) = group[0], samples[0]
+            run.state, run.cov = propagate_batch(run.state, run.cov, acc,
+                                                 gyro, run.dt, noise)
+            continue
+        states, covs = propagate_batch(
+            [r.state for r in group], np.stack([r.cov for r in group]),
+            [a for a, _ in samples], [g for _, g in samples], group[0].dt,
+            noise)
+        for run, state, cov in zip(group, states, covs):
+            run.state, run.cov = state, cov
+
+
+def _innovations(frames):
+    """S and H P of every frame."""
+    for group in _groups(frames, _shape):
+        if len(group) == 1:
+            f = group[0]
+            f.s, f.hp = ud.innovation(f.cov, f.stacked)
+            continue
+        s, hp = ud.innovation(np.stack([f.cov for f in group]),
+                              ud.stack_updates([f.stacked for f in group]))
+        for f, s_f, hp_f in zip(group, s, hp):
+            f.s, f.hp = s_f, hp_f
+
+
+def _gate(frame: _Frame, gating: gt.GatingConfig) -> bool:
+    """Gate every match of the frame and keep the rows gating let through;
+    False when it rejected them all."""
+    counts, stacked = frame.counts, frame.stacked
+    decisions = gt.gate_frame(gating, frame.s, stacked.residual,
+                              frame.measurements, frame.degenerate,
+                              partial_ok=frame.partial_ok)
     for decision in decisions:
         if decision.verdict is gt.Verdict.ACCEPT_ALL:
             counts["accepted"] += 1
         else:
             counts["rejected_" + decision.verdict.value[7:]] += 1
-    counts["degenerate"] += sum(degenerate)
+    counts["degenerate"] += sum(frame.degenerate)
 
     keep = ud.kept_rows(decisions)
     if keep.size == 0:
-        return state, cov
+        return False
     if keep.size < stacked.residual.size:
-        stacked = stacked.rows(keep)
-        s, hp = s[np.ix_(keep, keep)], hp[keep]
+        frame.stacked = stacked.rows(keep)
+        frame.s, frame.hp = frame.s[np.ix_(keep, keep)], frame.hp[keep]
     counts["updates"] += 1
-    state, cov, applied = ud.joseph_update(state, cov, stacked, s, hp)
-    if not applied:
-        counts["skipped_updates"] += 1
-    return state, cov
+    return True
+
+
+def _joseph(frames):
+    """The EKF update of every gated frame."""
+    for group in _groups(frames, _shape):
+        if len(group) == 1:
+            f = group[0]
+            f.state, f.cov, applied = ud.joseph_update(f.state, f.cov,
+                                                       f.stacked, f.s, f.hp)
+            applied = [applied]
+        else:
+            states, covs, applied = ud.joseph_update(
+                [f.state for f in group], np.stack([f.cov for f in group]),
+                ud.stack_updates([f.stacked for f in group]),
+                np.stack([f.s for f in group]),
+                np.stack([f.hp for f in group]))
+            for f, state, cov in zip(group, states, covs):
+                f.state, f.cov = state, cov
+        for f, ok in zip(group, applied):
+            if not ok:
+                f.counts["skipped_updates"] += 1
+
+
+def _update_frames(frames, gating: gt.GatingConfig):
+    """Gate and apply the matched measurements of each frame, one frame per
+    run.
+
+    A frame's innovation covariance S = H P H^T + R and H P are formed
+    once; gating tests diagonal blocks of S and the update uses the
+    principal submatrix of S and the rows of H P that gating kept. Frames
+    of the same shape (rows, error dimension) share one stacked call of
+    the innovation and of the update.
+    """
+    _innovations(frames)
+    _joseph([f for f in frames if _gate(f, gating)])
+
+
+def run_lockstep(streams, setup: FilterSetup) -> list:
+    """Run the configured filter over each (ImuStream, MeasurementStream)
+    pair of streams; returns one RunRecord per pair.
+
+    The runs step through the camera ticks together: in each tick, runs
+    whose shapes agree share one stacked call of the propagation, the
+    innovation and the update, while projection, matching,
+    initialization, stacking, gating, recording and the divergence test
+    stay per run. Every record is bit for bit what run_filter returns for
+    its streams alone, and a run in a group of one calls the single-run
+    kernels.
+    """
+    runs = [_Run(imu, meas) for imu, meas in streams]
+    model = MODELS[setup.filter_type]
+    # a diverging estimate overflows to inf and NaN; the divergence test
+    # reports that, so numpy's warnings would only repeat it
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(max((r.n_cam for r in runs), default=-1) + 1):
+            live = [r for r in runs if not r.done and k <= r.n_cam]
+            if k > 0:
+                _propagate(live, k, setup.imu_noise)
+            frames = []
+            for run in live:
+                frame = run.meas.ticks[k]
+                if frame:
+                    pairs = _associate(run, frame, setup.match_gate)
+                    if pairs:
+                        frames.append((run, _Frame(run.state, run.cov,
+                                                   run.counts, frame, pairs,
+                                                   model)))
+            if frames:
+                _update_frames([f for _, f in frames], setup.gating)
+                for run, f in frames:
+                    run.state, run.cov = f.state, f.cov
+            for run in live:
+                run.record(k, setup.divergence_bound)
+    return [r.run_record() for r in runs]
 
 
 def run_filter(imu: ImuStream, meas_stream: MeasurementStream,
@@ -108,65 +294,7 @@ def run_filter(imu: ImuStream, meas_stream: MeasurementStream,
     averaged pairwise (trapezoidal measurement averaging) and propagated in
     one batch. The run stops early and is marked diverged when the
     position error exceeds the divergence bound or is not a number.
-    Objects are numbered in the order they are initialized.
+    Objects are numbered in the order they are initialized. This is the
+    one-run case of run_lockstep.
     """
-    if len(meas_stream.t) == 0 or len(imu.t) == 0:
-        raise ValueError("a stream is empty: the filter starts from a camera "
-                         "tick and the IMU sample at its time")
-    fault = timing_fault(imu.t, meas_stream.t)
-    if fault:
-        raise ValueError(fault[2])
-    n_cam = len(meas_stream.t) - 1
-    ratio = (len(imu.t) - 1) // n_cam if n_cam else 0
-    dt = float(imu.t[1] - imu.t[0]) if ratio else 0.0
-
-    state, cov = _initial_state(meas_stream)
-    counts = {"accepted": 0, "rejected_all": 0, "rejected_position": 0,
-              "rejected_rotation": 0, "degenerate": 0, "updates": 0,
-              "skipped_updates": 0, "initialized": 0}
-    rec_pe, rec_qe, rec_cp, rec_ca = [], [], [], []
-    diverged = False
-
-    # a diverging estimate overflows to inf and NaN; the divergence test
-    # below reports that, so numpy's warnings would only repeat it
-    with np.errstate(over="ignore", invalid="ignore"):
-        for k in range(n_cam + 1):
-            if k > 0:
-                i0, i1 = (k - 1) * ratio, k * ratio
-                # midpoint-representative samples from consecutive endpoints
-                acc = 0.5 * (imu.acc[i0:i1] + imu.acc[i0 + 1:i1 + 1])
-                gyro = 0.5 * (imu.gyro[i0:i1] + imu.gyro[i0 + 1:i1 + 1])
-                state, cov = propagate_batch(state, cov, acc, gyro, dt,
-                                             setup.imu_noise)
-
-            frame = meas_stream.ticks[k]
-            if frame:
-                projected = [project_measurement(state.core, state.extr, m)
-                             for m in frame]
-                pairs, unmatched = match(projected, state.objects,
-                                         setup.match_gate)
-                for mi in unmatched:
-                    state, cov = initialize_object(state, cov, frame[mi])
-                    counts["initialized"] += 1
-                if pairs:
-                    state, cov = _update_frame(state, cov, frame, pairs,
-                                               setup, counts)
-
-            rec_pe.append(state.core.p_wi.copy())
-            rec_qe.append(state.core.q_wi.copy())
-            rec_cp.append(cov[st.POS, st.POS].copy())
-            rec_ca.append(cov[st.ATT, st.ATT].copy())
-
-            err = np.linalg.norm(state.core.p_wi - meas_stream.truth_pos[k])
-            if not err <= setup.divergence_bound:
-                diverged = True
-                log.info("diverged at t=%.2f (|e|=%.2f m)", meas_stream.t[k],
-                         err)
-                break
-
-    n = len(rec_pe)
-    return RunRecord(meas_stream.t[:n].copy(),
-                     meas_stream.truth_pos[:n].copy(),
-                     meas_stream.truth_quat[:n].copy(), np.array(rec_pe),
-                     np.array(rec_qe), np.array(rec_cp), np.array(rec_ca),
-                     diverged=diverged, counts=counts)
+    return run_lockstep([(imu, meas_stream)], setup)[0]

@@ -108,7 +108,8 @@ class FullState:
 
 
 def symmetrize(cov: np.ndarray) -> np.ndarray:
-    return 0.5 * (cov + cov.T)
+    """(P + P^T) / 2 of one matrix or of each in a stack."""
+    return 0.5 * (cov + cov.swapaxes(-1, -2))
 
 
 def inject_error(state: FullState, dx: np.ndarray) -> FullState:

@@ -264,9 +264,18 @@ def build_stacked(state: FullState, matches, decisions, model=DIRECT):
 def innovation(cov: np.ndarray, stacked: StackedUpdate):
     """(S, H P): the innovation covariance H P H^T + R, symmetrized, and the
     cross covariance H P (the transpose of P H^T) that gating and the
-    update share."""
+    update share. Takes one problem or a stack of them (see stack_updates)."""
     hp = stacked.jacobian @ cov
-    return symmetrize(hp @ stacked.jacobian.T + stacked.noise_cov), hp
+    return (symmetrize(hp @ stacked.jacobian.swapaxes(-1, -2)
+                       + stacked.noise_cov), hp)
+
+
+def stack_updates(updates) -> StackedUpdate:
+    """The problems of R runs with the same row count and error dimension
+    as one StackedUpdate of (R, ...) arrays."""
+    return StackedUpdate(np.stack([u.residual for u in updates]),
+                         np.stack([u.jacobian for u in updates]),
+                         np.stack([u.noise_cov for u in updates]))
 
 
 def well_conditioned(eig_min, eig_max):
@@ -275,24 +284,61 @@ def well_conditioned(eig_min, eig_max):
     return (eig_min > 0.0) & (eig_max <= MAX_CONDITION * eig_min)
 
 
-def joseph_update(state: FullState, cov: np.ndarray, stacked: StackedUpdate,
+def _gain_and_cov(cov, stacked: StackedUpdate, s, hp, anchored: bool):
+    """Kalman gain (anchor rows zeroed) and Joseph-form covariance of one
+    problem or of a stack of them."""
+    gain = np.linalg.solve(s, hp).swapaxes(-1, -2)
+    if anchored:
+        gain[..., st.ANCHOR, :] = 0.0
+    i_kh = np.eye(cov.shape[-1]) - gain @ stacked.jacobian
+    new_cov = (i_kh @ cov @ i_kh.swapaxes(-1, -2)
+               + gain @ stacked.noise_cov @ gain.swapaxes(-1, -2))
+    return gain, symmetrize(new_cov)
+
+
+def _skip_warning(eig_min, eig_max):
+    log.warning("innovation covariance condition number %.2e > %.0e; "
+                "update skipped",
+                float("inf") if eig_min <= 0 else eig_max / eig_min,
+                MAX_CONDITION)
+
+
+def joseph_update(state, cov: np.ndarray, stacked: StackedUpdate,
                   s: np.ndarray, hp: np.ndarray):
     """EKF update from precomputed S and H P (see innovation); returns
-    (state, cov, applied). A skipped update returns the inputs themselves."""
+    (state, cov, applied). A skipped update returns the inputs themselves.
+
+    Several runs update in lockstep when cov is a stack (R, d, d): state is
+    then a list of R states, stacked, s and hp hold the R problems (see
+    stack_updates), and the result is (states, covs, applied) as lists,
+    bit for bit what R single calls return.
+    """
     eig = np.linalg.eigvalsh(s)
-    if not well_conditioned(eig[0], eig[-1]):
-        log.warning("innovation covariance condition number %.2e > %.0e; "
-                    "update skipped",
-                    float("inf") if eig[0] <= 0 else eig[-1] / eig[0],
-                    MAX_CONDITION)
-        return state, cov, False
-    gain = np.linalg.solve(s, hp).T
-    if state.objects:
-        gain[st.ANCHOR] = 0.0
-    new_state = inject_error(state, gain @ stacked.residual)
-    i_kh = np.eye(cov.shape[0]) - gain @ stacked.jacobian
-    new_cov = i_kh @ cov @ i_kh.T + gain @ stacked.noise_cov @ gain.T
-    return new_state, symmetrize(new_cov), True
+    if cov.ndim == 2:
+        if not well_conditioned(eig[0], eig[-1]):
+            _skip_warning(eig[0], eig[-1])
+            return state, cov, False
+        gain, new_cov = _gain_and_cov(cov, stacked, s, hp, bool(state.objects))
+        return inject_error(state, gain @ stacked.residual), new_cov, True
+
+    states, covs = list(state), list(cov)
+    ok = well_conditioned(eig[:, 0], eig[:, -1])
+    for r in np.flatnonzero(~ok):
+        _skip_warning(eig[r, 0], eig[r, -1])
+    run = np.flatnonzero(ok)
+    if run.size:
+        if run.size < ok.size:
+            cov, s, hp = cov[run], s[run], hp[run]
+            stacked = StackedUpdate(stacked.residual[run],
+                                    stacked.jacobian[run],
+                                    stacked.noise_cov[run])
+        gain, new_cov = _gain_and_cov(cov, stacked, s, hp,
+                                      bool(states[run[0]].objects))
+        dx = (gain @ stacked.residual[..., None])[..., 0]
+        for i, r in enumerate(run):
+            states[r] = inject_error(states[r], dx[i])
+            covs[r] = new_cov[i]
+    return states, covs, ok.tolist()
 
 
 def ekf_update(state: FullState, cov: np.ndarray, stacked: StackedUpdate):

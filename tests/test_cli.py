@@ -579,8 +579,10 @@ class TestSweep:
         assert "--parallel" in capsys.readouterr().err
         assert not (tmp_path / "s").exists()
 
-    def test_pool_has_no_more_workers_than_tasks(self, tmp_path,
-                                                 monkeypatch):
+    @staticmethod
+    def serial_pool(monkeypatch):
+        """Replace the process pool by a serial one; returns the list of
+        the worker counts of the pools started."""
         started = []
 
         class SerialPool:
@@ -597,9 +599,22 @@ class TestSweep:
                 return map(fn, tasks)
 
         monkeypatch.setattr(cli, "ProcessPoolExecutor", SerialPool)
+        return started
+
+    def test_pool_has_no_more_workers_than_tasks(self, tmp_path,
+                                                 monkeypatch):
+        started = self.serial_pool(monkeypatch)
         cfg = parse_config(write(tmp_path, SWEEP_CONFIG))
         assert cli.run_sweep_cells(cfg, 8) == cli.run_sweep_cells(cfg, 1)
-        assert started == [2]
+        assert started == []    # two tasks are one batch: no pool
+
+    def test_pool_has_no_more_workers_than_batches(self, tmp_path,
+                                                   monkeypatch):
+        started = self.serial_pool(monkeypatch)
+        cfg = replace(parse_config(write(tmp_path, SWEEP_CONFIG)),
+                      duration=0.5, runs_per_cell=16)
+        assert cli.run_sweep_cells(cfg, 8) == cli.run_sweep_cells(cfg, 1)
+        assert started == [2]   # 16 tasks are two batches of 8
 
     def test_table_shape_default_grid(self, tmp_path):
         cfg = parse_config(write(tmp_path, BASE_CONFIG))

@@ -18,7 +18,7 @@ from orekf import state as st
 from orekf import update_direct as ud
 from orekf import update_inverse as ui
 from orekf.geom3 import exp_so3, quat_mul, quat_of
-from orekf.runner import FilterSetup, _update_frame
+from orekf.runner import MODELS, FilterSetup, _Frame, _update_frames
 from orekf.state import inject_error, symmetrize
 from tests.test_update_direct import consistent_measurement, random_state
 
@@ -27,6 +27,13 @@ METHODS = {"direct": ("none", "chi2", "chi2p", "aor", "aorp"),
 COUNT_KEYS = ("accepted", "rejected_all", "rejected_position",
               "rejected_rotation", "degenerate", "updates", "skipped_updates")
 FLIP = quat_of(exp_so3([0.0, 0.0, np.pi - 1e-9]))
+
+
+def update_frame(state, cov, frame, pairs, setup, counts):
+    """The run loop's update of one run's frame: (state, cov) after it."""
+    f = _Frame(state, cov, counts, frame, pairs, MODELS[setup.filter_type])
+    _update_frames([f], setup.gating)
+    return f.state, f.cov
 
 
 def reference_block(state, obj_index, meas, direct):
@@ -191,8 +198,8 @@ def test_frame_pass_matches_per_match_reference(case):
     want_state, want_cov = reference_update(state, cov, blocks, want)
 
     counts = dict.fromkeys(COUNT_KEYS, 0)
-    got_state, got_cov = _update_frame(state, cov, frame, pairs, setup,
-                                       counts)
+    got_state, got_cov = update_frame(state, cov, frame, pairs, setup,
+                                      counts)
 
     verdicts = [d.verdict for d in want]
     assert counts["accepted"] == verdicts.count(gt.Verdict.ACCEPT_ALL)
@@ -270,6 +277,6 @@ def test_degenerate_rows_are_never_kept():
                            ("inverse", gt.Verdict.REJECT_ALL)):
         setup = FilterSetup(filter_type=ftype)
         counts = dict.fromkeys(COUNT_KEYS, 0)
-        _update_frame(state, cov, frame, pairs, setup, counts)
+        update_frame(state, cov, frame, pairs, setup, counts)
         assert counts["degenerate"] == 1
         assert counts["rejected_" + verdict.value[7:]] == 1
