@@ -8,21 +8,21 @@ import numpy as np
 from orekf import update_direct as ud
 from orekf import update_inverse as ui
 from orekf.geom3 import QUAT_IDENTITY, exp_so3, quat_mul, quat_of
-from orekf.state import CoreState, Extrinsics, FullState, ObjectState
+from orekf.state import FullState, ObjectState
 
-core = CoreState(np.zeros(3), np.zeros(3), QUAT_IDENTITY.copy(),
-                 np.zeros(3), np.zeros(3))
-extr = Extrinsics(np.zeros(3), QUAT_IDENTITY.copy())
-obj = ObjectState("mug", np.array([2.0, 0.0, 0.0]), QUAT_IDENTITY.copy())
-state = FullState(core, extr, [obj])
+# robot and camera at the origin, one mug 2 m ahead
+obj = ObjectState("mug", np.array([2.0, 0.0, 0.0]), QUAT_IDENTITY)
+state = FullState.from_parts(np.zeros(3), np.zeros(3), QUAT_IDENTITY,
+                             np.zeros(3), np.zeros(3), np.zeros(3),
+                             QUAT_IDENTITY, [obj])
 
 clean = ud.PoseMeasurement("mug",
-                           ud.predicted_relative_position(core, extr, obj),
-                           ud.predicted_relative_quat(core, extr, obj),
+                           ud.predicted_relative_position(state, obj),
+                           ud.predicted_relative_quat(state, obj),
                            np.array([1e-4, 4e-4, 9e-4]), np.full(3, 1e-4))
 print("consistent measurement: both residuals are zero")
-print("  direct  z_p:", ud.residual_position(core, extr, obj, clean))
-print("  inverse z_p:", ui.residual_position(core, extr, obj,
+print("  direct  z_p:", ud.residual_position(state, obj, clean))
+print("  inverse z_p:", ui.residual_position(state, obj,
                                              ui.invert_measurement(clean)))
 
 # now corrupt ONLY the measured rotation by 15 degrees
@@ -32,10 +32,10 @@ bad_rot = ud.PoseMeasurement(
     clean.var_p.copy(), clean.var_theta.copy())
 
 print("\nsame measurement with a 15-degree rotation error:")
-print("  direct  z_p:", ud.residual_position(core, extr, obj, bad_rot),
+print("  direct  z_p:", ud.residual_position(state, obj, bad_rot),
       " <- untouched (bit-identical)")
 print("  inverse z_p:", np.round(ui.residual_position(
-    core, extr, obj, ui.invert_measurement(bad_rot)), 4),
+    state, obj, ui.invert_measurement(bad_rot)), 4),
     " <- ~0.5 m of phantom position error at a 2 m range")
 
 print("\nJacobian structure tells the same story:")

@@ -15,15 +15,12 @@ from .propagation import ImuNoise, propagate_batch
 from .runner import FilterSetup, run_filter
 from .sim import SensorSpec, TrajectorySpec, camera_forward_extrinsics, \
     gen_imu, gen_measurements
-from .state import CoreState, Extrinsics, FullState, ObjectState, add_object, \
-    inject_error
+from .state import FullState, ObjectState, add_object, inject_error
 from .update_direct import PoseMeasurement
 
 __all__ = [
     "ImuNoise",
     "propagate_batch",
-    "CoreState",
-    "Extrinsics",
     "FullState",
     "ObjectState",
     "add_object",

@@ -12,11 +12,11 @@ from .state import FullState, ObjectState, add_object
 from .update_direct import PoseMeasurement
 
 
-def project_measurement(core, extr, meas: PoseMeasurement) -> ObjectState:
+def project_measurement(state, meas: PoseMeasurement) -> ObjectState:
     """Measured object with its pose expressed in the world frame."""
-    rot_wi = rot_of(core.q_wi)
-    p_wo = core.p_wi + rot_wi @ (extr.p_ic + rot_of(extr.q_ic) @ meas.p_co)
-    q_wo = quat_mul(quat_mul(core.q_wi, extr.q_ic), meas.q_co)
+    rot_wi = rot_of(state.q_wi)
+    p_wo = state.p_wi + rot_wi @ (state.p_ic + rot_of(state.q_ic) @ meas.p_co)
+    q_wo = quat_mul(quat_mul(state.q_wi, state.q_ic), meas.q_co)
     return ObjectState(meas.object_class, p_wo, q_wo)
 
 
@@ -116,7 +116,7 @@ def initialize_object(state: FullState, cov: np.ndarray,
     object initialized is the anchor and the new object's id is the old
     object count.
     """
-    obj = project_measurement(state.core, state.extr, meas)
+    obj = project_measurement(state, meas)
     meas_cov = np.zeros((6, 6))
     meas_cov[:3, :3] = np.diag(meas.var_p)
     meas_cov[3:, 3:] = np.diag(meas.var_theta)

@@ -45,20 +45,16 @@ _F_COLS = np.array([6, 7, 8, 6, 7, 8, 6, 7, 8, 12, 13, 14, 12, 13, 14, 12,
 _F_FLAT = _F_ROWS * st.CORE_DIM + _F_COLS     # the same in a flattened F
 
 
-def _strapdown(core: st.CoreState, acc: list, gyro: list, dt: float,
-               gravity):
-    """Integrate the nominal core state through the samples (lists of
-    [x, y, z]) in scalar arithmetic.
+def _strapdown(core: list, acc: list, gyro: list, dt: float, gravity):
+    """Integrate the nominal core state, the first 16 values of x as a list,
+    through the samples (lists of [x, y, z]) in scalar arithmetic.
 
     Returns (p, v, q, entries): the final position, velocity and attitude
     as lists, and one flat list of the 24 sample-dependent entries of each
     step's transition F at _F_ROWS, _F_COLS.
     """
-    px, py, pz = (float(c) for c in core.p_wi)
-    vx, vy, vz = (float(c) for c in core.v_wi)
-    qx, qy, qz, qw = (float(c) for c in core.q_wi)
-    bgx, bgy, bgz = (float(c) for c in core.bias_gyro)
-    bax, bay, baz = (float(c) for c in core.bias_accel)
+    (px, py, pz, vx, vy, vz, qx, qy, qz, qw, bgx, bgy, bgz, bax, bay,
+     baz) = core
     gx, gy, gz = (float(c) for c in gravity)
     half_dt = 0.5 * dt
     entries = []
@@ -189,11 +185,9 @@ def _apply(cov: np.ndarray, f_tot: np.ndarray, q_tot: np.ndarray):
 
 
 def _propagated(state: st.FullState, p, v, q) -> st.FullState:
-    core = state.core
-    new_core = st.CoreState(np.array(p), np.array(v), np.array(q),
-                            core.bias_gyro.copy(), core.bias_accel.copy())
-    return st.FullState(new_core, state.extr.copy(),
-                        [o.copy() for o in state.objects])
+    x = state.x.copy()
+    x[:10] = p + v + q          # p_wi, v_wi, q_wi
+    return st.FullState(x, state.classes)
 
 
 def propagate_batch(state, cov: np.ndarray, acc, gyro, dt: float,
@@ -222,12 +216,13 @@ def propagate_batch(state, cov: np.ndarray, acc, gyro, dt: float,
         raise ValueError(f"dt={dt} outside (0, {MAX_DT}]")
     if cov.ndim == 2:
         p, v, q, entries = _strapdown(
-            state.core, np.asarray(acc, dtype=float).tolist(),
+            state.x[:16].tolist(), np.asarray(acc, dtype=float).tolist(),
             np.asarray(gyro, dtype=float).tolist(), dt, noise.gravity)
         f_tot, q_tot = _compound(np.fromiter(entries, float, len(entries))
                                  .reshape(-1, 24), dt, noise)
         return _propagated(state, p, v, q), _apply(cov, f_tot, q_tot)
-    steps = [_strapdown(s.core, np.asarray(a, dtype=float).tolist(),
+    steps = [_strapdown(s.x[:16].tolist(),
+                        np.asarray(a, dtype=float).tolist(),
                         np.asarray(g, dtype=float).tolist(), dt,
                         noise.gravity)
              for s, a, g in zip(state, acc, gyro)]

@@ -14,6 +14,7 @@ from .update_direct import PoseMeasurement
 FORMAT_HEADER = "replay-log 1"
 
 _FIELDS = {"IMU": 8, "TRUTH": 12, "MEAS": 16}  # fields per record kind
+UNIT_TOL = 1e-9  # how far a logged quaternion's norm may be from 1
 
 
 def _f(x: float) -> str:
@@ -65,10 +66,11 @@ def read_log(path):
 
     Raises ReplayLogError on a version mismatch, and names the line of a
     record without its newline, a malformed record or non-finite number, a
-    TRUTH record not preceded by an IMU record at its own time, a MEAS
-    record not preceded by the TRUTH record of its time, IMU records past
-    the last TRUTH record, and timing that breaks sim.timing_fault's rule,
-    which run_filter needs.
+    TRUTH or MEAS quaternion whose norm is more than UNIT_TOL from 1, a
+    MEAS variance that is not positive, a TRUTH record not preceded by an
+    IMU record at its own time, a MEAS record not preceded by the TRUTH
+    record of its time, IMU records past the last TRUTH record, and timing
+    that breaks sim.timing_fault's rule, which run_filter needs.
     """
     imu_rows, truth_rows, ticks = [], [], []
     imu_lines, truth_lines = [], []
@@ -101,6 +103,14 @@ def read_log(path):
                 raise ReplayLogError(
                     f"line {line_no}: truncated or corrupt record "
                     f"({exc})") from None
+            if kind != "IMU":
+                norm = math.hypot(*row[7:11] if kind == "TRUTH" else row[4:8])
+                if abs(norm - 1.0) > UNIT_TOL:
+                    raise ReplayLogError(f"line {line_no}: {kind} quaternion "
+                                         f"has norm {norm:.17g}, not 1")
+                if kind == "MEAS" and min(row[8:14]) <= 0.0:
+                    raise ReplayLogError(
+                        f"line {line_no}: MEAS variances must be positive")
             if kind == "IMU":
                 imu_rows.append(row)
                 imu_lines.append(line_no)

@@ -20,7 +20,7 @@ from .metrics import RunRecord
 from .propagation import ImuNoise, propagate_batch
 from .sim import ImuStream, MeasurementStream, camera_forward_extrinsics, \
     timing_fault
-from .state import CoreState, FullState
+from .state import FullState
 
 log = logging.getLogger(__name__)
 
@@ -71,11 +71,10 @@ class _Run:
         self.n_cam = len(meas_stream.t) - 1
         self.ratio = (len(imu.t) - 1) // self.n_cam if self.n_cam else 0
         self.dt = float(imu.t[1] - imu.t[0]) if self.ratio else 0.0
-        core = CoreState(meas_stream.truth_pos[0].copy(),
-                         meas_stream.truth_vel[0].copy(),
-                         meas_stream.truth_quat[0].copy(),
-                         np.zeros(3), np.zeros(3))
-        self.state = FullState(core, camera_forward_extrinsics(), [])
+        self.state = FullState.from_parts(
+            meas_stream.truth_pos[0], meas_stream.truth_vel[0],
+            meas_stream.truth_quat[0], np.zeros(3), np.zeros(3),
+            *camera_forward_extrinsics(), [])
         self.cov = np.eye(st.BASE_DIM) * INIT_VAR
         self.counts = {"accepted": 0, "rejected_all": 0,
                        "rejected_position": 0, "rejected_rotation": 0,
@@ -95,12 +94,12 @@ class _Run:
     def record(self, k: int, divergence_bound: float):
         """Record tick k; mark the run diverged and done when the position
         error exceeds the bound or is not a number."""
-        core = self.state.core
-        self.rec_pe.append(core.p_wi.copy())
-        self.rec_qe.append(core.q_wi.copy())
+        p_wi = self.state.p_wi
+        self.rec_pe.append(p_wi.copy())
+        self.rec_qe.append(self.state.q_wi.copy())
         self.rec_cp.append(self.cov[st.POS, st.POS].copy())
         self.rec_ca.append(self.cov[st.ATT, st.ATT].copy())
-        err = np.linalg.norm(core.p_wi - self.meas.truth_pos[k])
+        err = np.linalg.norm(p_wi - self.meas.truth_pos[k])
         if not err <= divergence_bound:
             self.diverged = self.done = True
             log.info("diverged at t=%.2f (|e|=%.2f m)", self.meas.t[k], err)
@@ -147,8 +146,7 @@ def _associate(run: _Run, frame, match_gate: float):
     """Match the frame's measurements to the run's objects and initialize
     the unmatched ones; returns the matched (measurement, object) pairs."""
     state = run.state
-    projected = [project_measurement(state.core, state.extr, m)
-                 for m in frame]
+    projected = [project_measurement(state, m) for m in frame]
     pairs, unmatched = match(projected, state.objects, match_gate)
     for mi in unmatched:
         run.state, run.cov = initialize_object(run.state, run.cov, frame[mi])

@@ -29,7 +29,6 @@ import numpy as np
 
 from .geom3 import exp_so3_batch, quat_of, quat_of_batch, rot_of
 from .propagation import ImuNoise
-from .state import Extrinsics
 from .update_direct import PoseMeasurement
 
 TWO_PI = 2.0 * np.pi
@@ -147,15 +146,16 @@ def _quat_zyx(yaw, pitch, roll):
     return q
 
 
-def camera_forward_extrinsics() -> Extrinsics:
-    """Camera rigidly 0.1 m ahead of the IMU, optical axis (+z of C) along
-    body +x, image x right (-y body), image y down (-z body)."""
+def camera_forward_extrinsics():
+    """(p_ic, q_ic) of a camera rigidly 0.1 m ahead of the IMU, optical axis
+    (+z of C) along body +x, image x right (-y body), image y down (-z
+    body)."""
     rot_ic = np.array([
         [0.0, 0.0, 1.0],
         [-1.0, 0.0, 0.0],
         [0.0, -1.0, 0.0],
     ])
-    return Extrinsics(np.array([0.1, 0.0, 0.0]), quat_of(rot_ic))
+    return np.array([0.1, 0.0, 0.0]), quat_of(rot_ic)
 
 
 @dataclass
@@ -296,11 +296,11 @@ def gen_imu(traj: TrajectorySpec, noise: ImuNoise, rate: float,
 def _relative_poses(traj: TrajectorySpec, world: list, t: np.ndarray):
     """True (p_co, R_co) for every (tick, object) of the world, a list of
     ObjectState, seen from camera_forward_extrinsics()."""
-    extr = camera_forward_extrinsics()
+    p_ic, q_ic = camera_forward_extrinsics()
     rot_wi = traj.rotation(t)
     p_wi = traj.position(t)
-    rot_wc = rot_wi @ rot_of(extr.q_ic)
-    p_wc = p_wi + np.einsum("nij,j->ni", rot_wi, extr.p_ic)
+    rot_wc = rot_wi @ rot_of(q_ic)
+    p_wc = p_wi + np.einsum("nij,j->ni", rot_wi, p_ic)
     n_t = t.shape[0]
     n_o = len(world)
     p_co = np.empty((n_t, n_o, 3))

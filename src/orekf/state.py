@@ -1,5 +1,11 @@
 """Nominal filter state, error-state covariance layout, and object registry.
 
+Nominal layout (length 23 + 7N), one float vector:
+
+    [p_wi, v_wi, q_wi, bias_gyro, bias_accel,
+     p_ic, q_ic,
+     p_wo_0, q_wo_0, ..., p_wo_{N-1}, q_wo_{N-1}]
+
 Error-state layout (dimension 21 + 6N):
 
     [dp_wi, dv_wi, dtheta_wi, db_gyro, db_accel,
@@ -12,24 +18,17 @@ as q <- q (x) quat_of(exp_so3(dtheta)).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .geom3 import quat_exp, quat_mul, rot_of, skew
 
 
-def _perturb_quat(q: np.ndarray, dtheta: np.ndarray) -> np.ndarray:
-    """Right-multiplicative attitude injection q (x) exp(dtheta); an exactly
-    zero block leaves the quaternion bit-identical (the anchor relies on
-    this)."""
-    if dtheta[0] == 0.0 and dtheta[1] == 0.0 and dtheta[2] == 0.0:
-        return q.copy()
-    return quat_mul(q, quat_exp(dtheta))
-
 CORE_DIM = 15
 EXTR_DIM = 6
 BASE_DIM = CORE_DIM + EXTR_DIM  # 21
+BASE_LEN = 23  # nominal values before the first object
 
 # core block slices
 POS = slice(0, 3)
@@ -52,32 +51,6 @@ def obj_att_slice(i: int) -> slice:
 
 
 @dataclass
-class CoreState:
-    """Propagated states: IMU position, velocity, attitude and biases."""
-
-    p_wi: np.ndarray
-    v_wi: np.ndarray
-    q_wi: np.ndarray
-    bias_gyro: np.ndarray
-    bias_accel: np.ndarray
-
-    def copy(self) -> "CoreState":
-        return CoreState(self.p_wi.copy(), self.v_wi.copy(), self.q_wi.copy(),
-                         self.bias_gyro.copy(), self.bias_accel.copy())
-
-
-@dataclass
-class Extrinsics:
-    """Camera-in-IMU calibration; carried in the state but held fixed."""
-
-    p_ic: np.ndarray
-    q_ic: np.ndarray
-
-    def copy(self) -> "Extrinsics":
-        return Extrinsics(self.p_ic.copy(), self.q_ic.copy())
-
-
-@dataclass
 class ObjectState:
     """An object's class and world pose; its id is its list position."""
 
@@ -89,27 +62,57 @@ class ObjectState:
         return ObjectState(self.obj_class, self.p_wo.copy(), self.q_wo.copy())
 
 
-@dataclass
 class FullState:
-    """Core, extrinsics and the objects in the order they were added; the
-    first object is the anchor."""
+    """The nominal state as one float vector x in the nominal layout, and
+    the class names of the objects in the order they were added; the first
+    object is the anchor. The named blocks are views into x."""
 
-    core: CoreState
-    extr: Extrinsics
-    objects: list = field(default_factory=list)
+    __slots__ = ("x", "classes")
+
+    p_wi = property(lambda self: self.x[0:3])
+    v_wi = property(lambda self: self.x[3:6])
+    q_wi = property(lambda self: self.x[6:10])
+    bias_gyro = property(lambda self: self.x[10:13])
+    bias_accel = property(lambda self: self.x[13:16])
+    p_ic = property(lambda self: self.x[16:19])
+    q_ic = property(lambda self: self.x[19:23])
+
+    def __init__(self, x: np.ndarray, classes: tuple):
+        self.x, self.classes = x, classes
+
+    @classmethod
+    def from_parts(cls, p_wi, v_wi, q_wi, bias_gyro, bias_accel, p_ic, q_ic,
+                   objects) -> "FullState":
+        """The state of the given blocks and list of ObjectState, copied."""
+        return cls(np.concatenate(
+            [p_wi, v_wi, q_wi, bias_gyro, bias_accel, p_ic, q_ic]
+            + [part for o in objects for part in (o.p_wo, o.q_wo)],
+            dtype=float), tuple(o.obj_class for o in objects))
+
+    @property
+    def objects(self) -> list:
+        """The objects as ObjectState whose poses are views into x."""
+        x = self.x
+        return [ObjectState(c, x[i:i + 3], x[i + 3:i + 7])
+                for c, i in zip(self.classes, range(BASE_LEN, len(x), 7))]
 
     @property
     def error_dim(self) -> int:
-        return BASE_DIM + 6 * len(self.objects)
-
-    def copy(self) -> "FullState":
-        return FullState(self.core.copy(), self.extr.copy(),
-                         [o.copy() for o in self.objects])
+        return BASE_DIM + 6 * len(self.classes)
 
 
 def symmetrize(cov: np.ndarray) -> np.ndarray:
     """(P + P^T) / 2 of one matrix or of each in a stack."""
     return 0.5 * (cov + cov.swapaxes(-1, -2))
+
+
+def _perturb_quat(x: np.ndarray, at: int, dtheta: np.ndarray):
+    """Right-multiplicative attitude injection q (x) exp(dtheta) of the
+    quaternion x[at:at + 4], in place; an exactly zero block leaves the
+    quaternion bit-identical (the anchor relies on this)."""
+    if dtheta[0] == 0.0 and dtheta[1] == 0.0 and dtheta[2] == 0.0:
+        return
+    x[at:at + 4] = quat_mul(x[at:at + 4], quat_exp(dtheta))
 
 
 def inject_error(state: FullState, dx: np.ndarray) -> FullState:
@@ -118,23 +121,15 @@ def inject_error(state: FullState, dx: np.ndarray) -> FullState:
     if dx.shape != (state.error_dim,):
         raise ValueError(
             f"error vector has dimension {dx.shape}, expected ({state.error_dim},)")
-    core = state.core
-    new_core = CoreState(
-        core.p_wi + dx[POS],
-        core.v_wi + dx[VEL],
-        _perturb_quat(core.q_wi, dx[ATT]),
-        core.bias_gyro + dx[BG],
-        core.bias_accel + dx[BA],
-    )
-    new_extr = Extrinsics(
-        state.extr.p_ic + dx[P_IC],
-        _perturb_quat(state.extr.q_ic, dx[ATT_IC]),
-    )
-    new_objects = [
-        ObjectState(obj.obj_class, obj.p_wo + dx[obj_pos_slice(i)],
-                    _perturb_quat(obj.q_wo, dx[obj_att_slice(i)]))
-        for i, obj in enumerate(state.objects)]
-    return FullState(new_core, new_extr, new_objects)
+    x = state.x.copy()
+    x[0:6] += dx[0:6]            # p_wi, v_wi
+    x[10:19] += dx[9:18]         # bias_gyro, bias_accel, p_ic
+    x[BASE_LEN:].reshape(-1, 7)[:, :3] += dx[BASE_DIM:].reshape(-1, 6)[:, :3]
+    _perturb_quat(x, 6, dx[ATT])
+    _perturb_quat(x, 19, dx[ATT_IC])
+    for i in range(len(state.classes)):
+        _perturb_quat(x, BASE_LEN + 7 * i + 3, dx[obj_att_slice(i)])
+    return FullState(x, state.classes)
 
 
 def _init_jacobians(state: FullState, rot_wi: np.ndarray, rot_ic: np.ndarray,
@@ -142,7 +137,7 @@ def _init_jacobians(state: FullState, rot_wi: np.ndarray, rot_ic: np.ndarray,
     """Chain-rule Jacobians of a new object's pose error w.r.t. the existing
     error state (h_x) and the measurement noise [n_p, n_theta] (j_n)."""
     rot_wc = rot_wi @ rot_ic
-    lever = state.extr.p_ic + rot_ic @ p_co
+    lever = state.p_ic + rot_ic @ p_co
 
     h_x = np.zeros((6, state.error_dim))
     # dp_wo rows
@@ -170,13 +165,11 @@ def add_object(state: FullState, cov: np.ndarray, obj: ObjectState,
     robot pose and extrinsics. The object is appended, so the first object
     added is the anchor and each id is a list position.
     """
-    obj = obj.copy()
-
-    rot_wi = rot_of(state.core.q_wi)
-    rot_ic = rot_of(state.extr.q_ic)
+    rot_wi = rot_of(state.q_wi)
+    rot_ic = rot_of(state.q_ic)
     rot_wc = rot_wi @ rot_ic
     p_co = rot_ic.T @ (
-        -state.extr.p_ic + rot_wi.T @ (obj.p_wo - state.core.p_wi))
+        -state.p_ic + rot_wi.T @ (obj.p_wo - state.p_wi))
     rot_co = rot_wc.T @ rot_of(obj.q_wo)
     h_x, j_n = _init_jacobians(state, rot_wi, rot_ic, p_co, rot_co)
 
@@ -188,6 +181,6 @@ def add_object(state: FullState, cov: np.ndarray, obj: ObjectState,
     new_cov[:old_dim, old_dim:] = cross.T
     new_cov[old_dim:, old_dim:] = h_x @ cov @ h_x.T + j_n @ meas_cov @ j_n.T
 
-    new_state = state.copy()
-    new_state.objects.append(obj)
+    new_state = FullState(np.concatenate((state.x, obj.p_wo, obj.q_wo)),
+                          state.classes + (obj.obj_class,))
     return new_state, symmetrize(new_cov)

@@ -57,10 +57,13 @@ class PoseMeasurement:
 
     def __post_init__(self):
         self.p_co = np.asarray(self.p_co, dtype=float)
-        self.q_co = quat_canonical(self.q_co)
+        q_co = np.asarray(self.q_co, dtype=float)
+        if not 0.0 < q_co @ q_co < np.inf:
+            raise ValueError("q_co needs a finite, nonzero norm")
+        self.q_co = quat_canonical(q_co)
         self.var_p = np.asarray(self.var_p, dtype=float)
         self.var_theta = np.asarray(self.var_theta, dtype=float)
-        if (self.var_p <= 0).any() or (self.var_theta <= 0).any():
+        if not ((self.var_p > 0).all() and (self.var_theta > 0).all()):
             raise ValueError("measurement variances must be positive")
 
 
@@ -83,22 +86,22 @@ class StackedUpdate:
                              self.noise_cov[np.ix_(keep, keep)])
 
 
-def predicted_relative_position(core, extr, obj) -> np.ndarray:
+def predicted_relative_position(state, obj) -> np.ndarray:
     """Object position in the camera frame from the current estimate."""
-    rot_ic = rot_of(extr.q_ic)
-    rot_wi = rot_of(core.q_wi)
-    return rot_ic.T @ (-extr.p_ic + rot_wi.T @ (obj.p_wo - core.p_wi))
+    rot_ic = rot_of(state.q_ic)
+    rot_wi = rot_of(state.q_wi)
+    return rot_ic.T @ (-state.p_ic + rot_wi.T @ (obj.p_wo - state.p_wi))
 
 
-def predicted_relative_quat(core, extr, obj) -> np.ndarray:
+def predicted_relative_quat(state, obj) -> np.ndarray:
     """Object rotation in the camera frame from the current estimate."""
-    return quat_mul(quat_mul(quat_conj(extr.q_ic), quat_conj(core.q_wi)),
+    return quat_mul(quat_mul(quat_conj(state.q_ic), quat_conj(state.q_wi)),
                     obj.q_wo)
 
 
-def residual_position(core, extr, obj, meas: PoseMeasurement) -> np.ndarray:
+def residual_position(state, obj, meas: PoseMeasurement) -> np.ndarray:
     """Position residual; independent of the measured rotation by design."""
-    return meas.p_co - predicted_relative_position(core, extr, obj)
+    return meas.p_co - predicted_relative_position(state, obj)
 
 
 def small_angle_residual(q_pred: np.ndarray, q_meas: np.ndarray) -> np.ndarray:
@@ -110,24 +113,24 @@ def small_angle_residual(q_pred: np.ndarray, q_meas: np.ndarray) -> np.ndarray:
     return 2.0 * dq[:3] / dq[3]
 
 
-def residual_rotation(core, extr, obj, meas: PoseMeasurement) -> np.ndarray:
-    return small_angle_residual(predicted_relative_quat(core, extr, obj),
+def residual_rotation(state, obj, meas: PoseMeasurement) -> np.ndarray:
+    return small_angle_residual(predicted_relative_quat(state, obj),
                                 meas.q_co)
 
 
-def _frame_terms(core, extr):
+def _frame_terms(state):
     """Products of the frame's rotations that the rows of every object
     share, evaluated once per frame."""
-    rot_wi, rot_ic = rot_of(core.q_wi), rot_of(extr.q_ic)
+    p_wi, q_wi, p_ic, q_ic = state.p_wi, state.q_wi, state.p_ic, state.q_ic
+    rot_wi, rot_ic = rot_of(q_wi), rot_of(q_ic)
     ric_t, rwi_t = rot_ic.T, rot_wi.T
     a = ric_t @ rwi_t
     return (rot_wi, rot_ic, ric_t, rwi_t, a, -ric_t @ rwi_t,
-            skew(rwi_t @ core.p_wi), -skew(ric_t @ extr.p_ic),
-            skew(a @ core.p_wi),
-            quat_mul(quat_conj(extr.q_ic), quat_conj(core.q_wi)))
+            skew(rwi_t @ p_wi), -skew(ric_t @ p_ic), skew(a @ p_wi),
+            quat_mul(quat_conj(q_ic), quat_conj(q_wi)))
 
 
-def _object_rows(h, terms, core, extr, obj, i):
+def _object_rows(h, terms, state, obj, i):
     """Write the Jacobian rows [position; rotation] of object i into h
     (6 x error_dim) and return its predicted relative pose (p_co, q_co)."""
     rot_wi, rot_ic, ric_t, rwi_t, a, neg_a, s_wi, neg_s_ic, s_a_wi, q_cw = \
@@ -141,7 +144,7 @@ def _object_rows(h, terms, core, extr, obj, i):
     h[3:, st.ATT] = h_att
     h[3:, st.ATT_IC] = h_att @ rot_ic
     h[3:, st.obj_att_slice(i)] = _I3
-    return (ric_t @ (-extr.p_ic + rwi_t @ (obj.p_wo - core.p_wi)),
+    return (ric_t @ (-state.p_ic + rwi_t @ (obj.p_wo - state.p_wi)),
             quat_mul(q_cw, obj.q_wo))
 
 
@@ -157,8 +160,8 @@ class MeasurementModel(NamedTuple):
 
     observe(meas) -> (p, q, cov_p, cov_theta): the measurement as the
     filter fuses it, with its 3x3 position and rotation noise blocks.
-    frame_terms(core, extr): the rotation products every object shares.
-    object_rows(h, terms, core, extr, obj, i) -> (p_pred, q_pred): writes
+    frame_terms(state): the rotation products every object shares.
+    object_rows(h, terms, state, obj, i) -> (p_pred, q_pred): writes
     the Jacobian rows [position; rotation] of object i into h (6 x
     error_dim) and returns the prediction of observe's (p, q).
     partial_ok: whether one block of a measurement may be rejected alone.
@@ -184,9 +187,8 @@ def jacobians(state: FullState, obj_index: int, model=DIRECT):
     measurements of different objects are independent.
     """
     h = np.zeros((6, state.error_dim))
-    model.object_rows(h, model.frame_terms(state.core, state.extr),
-                      state.core, state.extr, state.objects[obj_index],
-                      obj_index)
+    model.object_rows(h, model.frame_terms(state), state,
+                      state.objects[obj_index], obj_index)
     return h[:3], h[3:]
 
 
@@ -200,8 +202,8 @@ def stack_frame(state: FullState, matches, model=DIRECT):
     close to pi to use; its rows are zero in the residual and must not be
     kept. The noise is block-diagonal in the 3x3 blocks of model.observe.
     """
-    core, extr = state.core, state.extr
-    terms = model.frame_terms(core, extr)
+    terms = model.frame_terms(state)
+    objects = state.objects
     n = len(matches)
     h = np.zeros((n, 6, state.error_dim))
     z = np.empty((n, 6))
@@ -209,8 +211,8 @@ def stack_frame(state: FullState, matches, model=DIRECT):
     degenerate = []
     for j, (i, meas) in enumerate(matches):
         p, q, blocks[j, 0], blocks[j, 1] = model.observe(meas)
-        p_pred, q_pred = model.object_rows(h[j], terms, core, extr,
-                                           state.objects[i], i)
+        p_pred, q_pred = model.object_rows(h[j], terms, state, objects[i],
+                                           i)
         z[j, :3] = p - p_pred
         try:
             z[j, 3:] = small_angle_residual(q_pred, q)
@@ -318,7 +320,8 @@ def joseph_update(state, cov: np.ndarray, stacked: StackedUpdate,
         if not well_conditioned(eig[0], eig[-1]):
             _skip_warning(eig[0], eig[-1])
             return state, cov, False
-        gain, new_cov = _gain_and_cov(cov, stacked, s, hp, bool(state.objects))
+        gain, new_cov = _gain_and_cov(cov, stacked, s, hp,
+                                      bool(state.classes))
         return inject_error(state, gain @ stacked.residual), new_cov, True
 
     states, covs = list(state), list(cov)
@@ -333,7 +336,7 @@ def joseph_update(state, cov: np.ndarray, stacked: StackedUpdate,
                                     stacked.jacobian[run],
                                     stacked.noise_cov[run])
         gain, new_cov = _gain_and_cov(cov, stacked, s, hp,
-                                      bool(states[run[0]].objects))
+                                      bool(states[run[0]].classes))
         dx = (gain @ stacked.residual[..., None])[..., 0]
         for i, r in enumerate(run):
             states[r] = inject_error(states[r], dx[i])

@@ -44,22 +44,22 @@ def invert_measurement(meas: PoseMeasurement) -> InvertedMeasurement:
     )
 
 
-def predicted_camera_in_object(core, extr, obj):
+def predicted_camera_in_object(state, obj):
     """Predicted (p_oc, q_oc) from the current estimate."""
     rot_wo = rot_of(obj.q_wo)
-    p_wc = core.p_wi + rot_of(core.q_wi) @ extr.p_ic
+    p_wc = state.p_wi + rot_of(state.q_wi) @ state.p_ic
     p_oc = rot_wo.T @ (p_wc - obj.p_wo)
-    q_oc = quat_mul(quat_mul(quat_conj(obj.q_wo), core.q_wi), extr.q_ic)
+    q_oc = quat_mul(quat_mul(quat_conj(obj.q_wo), state.q_wi), state.q_ic)
     return p_oc, q_oc
 
 
-def residual_position(core, extr, obj, inv: InvertedMeasurement) -> np.ndarray:
-    p_oc, _ = predicted_camera_in_object(core, extr, obj)
+def residual_position(state, obj, inv: InvertedMeasurement) -> np.ndarray:
+    p_oc, _ = predicted_camera_in_object(state, obj)
     return inv.p_oc - p_oc
 
 
-def residual_rotation(core, extr, obj, inv: InvertedMeasurement) -> np.ndarray:
-    _, q_oc = predicted_camera_in_object(core, extr, obj)
+def residual_rotation(state, obj, inv: InvertedMeasurement) -> np.ndarray:
+    _, q_oc = predicted_camera_in_object(state, obj)
     return small_angle_residual(q_oc, inv.q_oc)
 
 
@@ -68,15 +68,15 @@ def _observe(meas: PoseMeasurement):
     return inv.p_oc, inv.q_oc, inv.cov_p, inv.cov_theta
 
 
-def _frame_terms(core, extr):
+def _frame_terms(state):
     """Products of the frame's rotations that the rows of every object
     share, evaluated once per frame."""
-    rot_wi, rot_ic = rot_of(core.q_wi), rot_of(extr.q_ic)
-    return (rot_wi, rot_ic.T, core.p_wi + rot_wi @ extr.p_ic,
-            skew(extr.p_ic), -rot_ic.T @ rot_wi.T)
+    rot_wi, rot_ic = rot_of(state.q_wi), rot_of(state.q_ic)
+    return (rot_wi, rot_ic.T, state.p_wi + rot_wi @ state.p_ic,
+            skew(state.p_ic), -rot_ic.T @ rot_wi.T)
 
 
-def _object_rows(h, terms, core, extr, obj, i):
+def _object_rows(h, terms, state, obj, i):
     """Write the Jacobian rows [position; rotation] of object i into h
     (6 x error_dim) and return the predicted camera pose in the object
     frame (p_oc, q_oc)."""
@@ -92,8 +92,8 @@ def _object_rows(h, terms, core, extr, obj, i):
     h[3:, st.ATT] = ric_t
     h[3:, st.ATT_IC] = np.eye(3)
     h[3:, st.obj_att_slice(i)] = c @ rot_wo
-    return p_oc, quat_mul(quat_mul(quat_conj(obj.q_wo), core.q_wi),
-                          extr.q_ic)
+    return p_oc, quat_mul(quat_mul(quat_conj(obj.q_wo), state.q_wi),
+                          state.q_ic)
 
 
 # The measurement inverted into the object frame: the inversion couples the

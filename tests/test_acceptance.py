@@ -42,17 +42,17 @@ def test_criterion_1_jacobians_match_finite_differences():
 
         h_p, h_r = ud.jacobians(state, idx)
         fd_p = fd_jacobian(lambda s: ud.residual_position(
-            s.core, s.extr, s.objects[idx], meas), state)
+            s, s.objects[idx], meas), state)
         fd_r = fd_jacobian(lambda s: ud.residual_rotation(
-            s.core, s.extr, s.objects[idx], meas), state)
+            s, s.objects[idx], meas), state)
         worst_direct = max(worst_direct, np.max(np.abs(h_p - fd_p)),
                            np.max(np.abs(h_r - fd_r)))
 
         hi_p, hi_r = ui.jacobians(state, idx)
         fdi_p = fd_jacobian(lambda s: ui.residual_position(
-            s.core, s.extr, s.objects[idx], inv), state)
+            s, s.objects[idx], inv), state)
         fdi_r = fd_jacobian(lambda s: ui.residual_rotation(
-            s.core, s.extr, s.objects[idx], inv), state)
+            s, s.objects[idx], inv), state)
         worst_inverse = max(worst_inverse, np.max(np.abs(hi_p - fdi_p)),
                             np.max(np.abs(hi_r - fdi_r)))
     elapsed = time.perf_counter() - t0

@@ -480,6 +480,27 @@ class TestReplay:
             f"error: line {line}: camera tick 5 at t=0.3 s does not fall on "
             f"IMU sample 50")
 
+    @pytest.mark.parametrize("kind, n, fields, values, message", [
+        ("MEAS", 0, slice(6, 10), "0,0,0,0", "MEAS quaternion"),
+        ("MEAS", 0, slice(10, 11), "-1", "MEAS variances"),
+        ("MEAS", 0, slice(15, 16), "0", "MEAS variances"),
+        ("TRUTH", 0, slice(8, 12), "0,0,0,0", "TRUTH quaternion"),
+        ("TRUTH", 0, slice(8, 12), "0,0,0,3", "TRUTH quaternion"),
+        ("TRUTH", 5, slice(8, 12), "0,0,0,0", "TRUTH quaternion"),
+    ], ids=["meas_zero_quat", "meas_negative_var", "meas_zero_var",
+            "truth_zero_quat", "truth_long_quat", "truth_zero_quat_tick_5"])
+    def test_bad_quaternion_or_variance_exits_2_with_line_number(
+            self, tmp_path, capsys, kind, n, fields, values, message):
+        cfg_path, lines = self._short_log(tmp_path)
+        idx = [i for i, line in enumerate(lines) if f",{kind}," in line][n]
+        parts = lines[idx][:-1].split(",")
+        parts[fields] = values.split(",")
+        lines[idx] = ",".join(parts) + "\n"
+        capsys.readouterr()
+        assert self._replay_lines(tmp_path, cfg_path, lines) == 2
+        assert capsys.readouterr().err.startswith(
+            f"error: line {idx + 1}: {message}")
+
     def test_misaligned_measurement_raises_with_line_number(self, tmp_path):
         cfg = parse_config(write(tmp_path, BASE_CONFIG))
         imu, meas, _ = execute_run(cfg, cfg.seed)

@@ -1,10 +1,11 @@
-"""Every module-level import in src/orekf is used or re-exported, and the
-CLI starts without scipy."""
+"""Every module-level import in src/orekf is used or re-exported, every
+top-level definition is read somewhere, and the CLI starts without scipy."""
 
 import ast
 import os
 import subprocess
 import sys
+from collections import defaultdict
 from pathlib import Path
 
 import pytest
@@ -12,6 +13,10 @@ import pytest
 import orekf
 
 MODULES = sorted(Path(orekf.__file__).parent.glob("*.py"))
+ROOT = Path(orekf.__file__).parents[2]
+# the code that may read a definition of src/orekf
+READERS = sorted(p for d in ("src", "tests", "demos", "perfbench")
+                 for p in (ROOT / d).rglob("*.py"))
 
 
 def unused_imports(source: str) -> list:
@@ -47,6 +52,69 @@ def test_finds_an_unused_import():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def defined_names(tree: ast.Module) -> dict:
+    """{name: index of the top-level statement} of the functions, classes
+    and constants a module defines, dunders left out."""
+    names = {}
+    for i, node in enumerate(tree.body):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                             ast.ClassDef)):
+            names[node.name] = i
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = (node.targets if isinstance(node, ast.Assign)
+                       else [node.target])
+            for target in targets:
+                names.update((n.id, i) for n in ast.walk(target)
+                             if isinstance(n, ast.Name))
+    return {n: i for n, i in names.items() if not n.startswith("__")}
+
+
+def read_names(tree: ast.Module):
+    """(name, index of the top-level statement) of every read: loaded
+    names, attributes, imported names and string constants, since a probe
+    table names functions as strings."""
+    for i, stmt in enumerate(tree.body):
+        for node in ast.walk(stmt):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                yield node.id, i
+            elif isinstance(node, ast.Attribute):
+                yield node.attr, i
+            elif isinstance(node, ast.alias):
+                for part in node.name.split("."):
+                    yield part, i
+            elif isinstance(node, ast.Constant) and isinstance(node.value,
+                                                               str):
+                yield node.value, i
+
+
+def orphans(definers: dict, readers: dict) -> list:
+    """(module, name) of each top-level definition of the definer sources
+    that no statement of the reader sources reads, apart from the
+    definition itself; both map a path to its source."""
+    where = defaultdict(set)
+    for path, source in readers.items():
+        for name, i in read_names(ast.parse(source)):
+            where[name].add((path, i))
+    return sorted((path, name)
+                  for path, source in definers.items()
+                  for name, i in defined_names(ast.parse(source)).items()
+                  if not where[name] - {(path, i)})
+
+
+def test_finds_a_definition_nothing_reads():
+    lib = ("import math\nLIMIT = 3\nUNUSED = 4\n"
+           "def f(n):\n    return f(n - 1) if n else LIMIT\n"
+           "def g():\n    return math.pi\nclass K:\n    pass\n")
+    user = "from lib import g\nPROBE = ('lib', 'K')\n"
+    assert orphans({"lib": lib}, {"lib": lib, "user": user}) == [
+        ("lib", "UNUSED"), ("lib", "f")]
+
+
+def test_every_definition_is_read():
+    sources = {p: p.read_text(encoding="utf-8") for p in READERS}
+    assert orphans({p: sources[p] for p in MODULES}, sources) == []
 
 
 def test_cli_imports_no_scipy():

@@ -127,8 +127,8 @@ class TestKernels:
                                                     want):
                 assert same_bits(cov, w_cov)
                 for name in ("p_wi", "v_wi", "q_wi"):
-                    assert same_bits(getattr(state.core, name),
-                                     getattr(w_state.core, name))
+                    assert same_bits(getattr(state, name),
+                                     getattr(w_state, name))
             states, covs = got_states, list(got_covs)
 
     def test_an_infinite_rate_stays_in_its_run(self):
@@ -140,13 +140,13 @@ class TestKernels:
             states, covs = propagate_batch(
                 [s for s, _, _ in runs], np.stack([c for _, c, _ in runs]),
                 [imu.acc[:10] for *_, imu in runs], gyro, 0.005, noise)
-        assert np.isnan(states[1].core.q_wi).all()
+        assert np.isnan(states[1].q_wi).all()
         for r in (0, 2):
             state, cov, imu = runs[r]
             w_state, w_cov = propagate_batch(state, cov, imu.acc[:10],
                                              gyro[r], 0.005, noise)
             assert same_bits(covs[r], w_cov)
-            assert same_bits(states[r].core.q_wi, w_state.core.q_wi)
+            assert same_bits(states[r].q_wi, w_state.q_wi)
 
     def test_innovation_and_update_with_a_skipped_run(self):
         runs = self.states()
@@ -166,7 +166,7 @@ class TestKernels:
             want = ud.joseph_update(f.state, f.cov, f.stacked, s[r], hp_r)
             assert got[2][r] is want[2] is (r != 3)
             assert same_bits(got[1][r], want[1])
-            assert same_bits(got[0][r].core.p_wi, want[0].core.p_wi)
+            assert same_bits(got[0][r].p_wi, want[0].p_wi)
             assert same_bits(got[0][r].objects[0].q_wo,
                              want[0].objects[0].q_wo)
 

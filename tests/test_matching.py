@@ -10,7 +10,7 @@ from scipy.optimize import linear_sum_assignment
 from orekf.geom3 import QUAT_IDENTITY, exp_so3, quat_of
 from orekf.matching import geodesic_angle, initialize_object, match, \
     min_cost_assignment, project_measurement
-from orekf.state import CoreState, Extrinsics, FullState, ObjectState
+from orekf.state import FullState, ObjectState
 from orekf.update_direct import PoseMeasurement
 from tests.test_geom3 import Pose
 from tests.test_update_direct import identity_state, random_state
@@ -36,16 +36,16 @@ class TestProjectMeasurement:
     def test_identity_passthrough(self):
         s = identity_state()
         q = quat_of(exp_so3([0.1, 0.2, 0.3]))
-        obj = project_measurement(s.core, s.extr,
-                                  measurement([1, 2, 3], q, obj_class="mug"))
+        obj = project_measurement(s, measurement([1, 2, 3], q,
+                                                 obj_class="mug"))
         assert obj.obj_class == "mug"
         assert_allclose(obj.p_wo, [1, 2, 3])
         assert_allclose(obj.q_wo, q, atol=1e-12)
 
     def test_translation_composition(self):
         s = identity_state()
-        s.core.p_wi = np.array([1.0, 0.0, 0.0])
-        obj = project_measurement(s.core, s.extr, measurement([0, 0, 2]))
+        s.p_wi[:] = [1.0, 0.0, 0.0]
+        obj = project_measurement(s, measurement([0, 0, 2]))
         assert_allclose(obj.p_wo, [1, 0, 2])
 
     def test_matches_homogeneous_matrix_oracle(self):
@@ -54,9 +54,9 @@ class TestProjectMeasurement:
             s = random_state(rng, 0)
             meas = measurement(rng.normal(size=3),
                                quat_of(exp_so3(rng.normal(size=3))))
-            obj = project_measurement(s.core, s.extr, meas)
-            t_wi = Pose(s.core.p_wi, s.core.q_wi).as_matrix()
-            t_ic = Pose(s.extr.p_ic, s.extr.q_ic).as_matrix()
+            obj = project_measurement(s, meas)
+            t_wi = Pose(s.p_wi, s.q_wi).as_matrix()
+            t_ic = Pose(s.p_ic, s.q_ic).as_matrix()
             t_co = Pose(meas.p_co, meas.q_co).as_matrix()
             expect = t_wi @ t_ic @ t_co
             assert_allclose(Pose(obj.p_wo, obj.q_wo).as_matrix(), expect,
@@ -217,8 +217,9 @@ def test_assignment_rejects_non_finite_costs():
 
 class TestInitializeObject:
     def test_first_seen_becomes_anchor(self):
-        s = identity_state()
-        s.objects = []  # start with no objects
+        s = FullState.from_parts(np.zeros(3), np.zeros(3), QUAT_IDENTITY,
+                                 np.zeros(3), np.zeros(3), np.zeros(3),
+                                 QUAT_IDENTITY, [])  # no objects yet
         cov = np.eye(21) * 1e-6
         s2, cov2 = initialize_object(s, cov, measurement([2.0, 0, 0]))
         assert cov2.shape == (27, 27)
@@ -229,7 +230,7 @@ class TestInitializeObject:
         meas = measurement(rng.normal(size=3),
                            quat_of(exp_so3(rng.normal(size=3))))
         s2, _ = initialize_object(s, np.eye(21) * 1e-6, meas)
-        obj = project_measurement(s.core, s.extr, meas)
+        obj = project_measurement(s, meas)
         assert_allclose(s2.objects[0].p_wo, obj.p_wo)
         assert_allclose(s2.objects[0].q_wo, obj.q_wo)
         assert len(s2.objects) == 1

@@ -16,7 +16,7 @@ from orekf.geom3 import (
     skew,
 )
 from orekf.propagation import MAX_DT, ImuNoise, propagate_batch
-from orekf.state import CoreState, Extrinsics, FullState, ObjectState
+from orekf.state import FullState, ObjectState
 
 G = np.array([0.0, 0.0, 9.81])
 
@@ -44,22 +44,20 @@ def propagate(state: FullState, cov: np.ndarray, sample: ImuSample,
     """
     if not 0.0 < dt <= MAX_DT:
         raise ValueError(f"dt={dt} outside (0, {MAX_DT}]")
-    core = state.core
-    w = sample.gyro - core.bias_gyro
-    a_body = sample.acc - core.bias_accel
+    w = sample.gyro - state.bias_gyro
+    a_body = sample.acc - state.bias_accel
 
-    rot0 = rot_of(core.q_wi)
+    rot0 = rot_of(state.q_wi)
     rot_mid = rot0 @ rot_of(quat_exp(w * (0.5 * dt)))
     a_world = rot_mid @ a_body - noise.gravity
 
-    v_new = core.v_wi + a_world * dt
-    p_new = core.p_wi + 0.5 * (core.v_wi + v_new) * dt
-    q_new = quat_mul(core.q_wi, quat_exp(w * dt))
+    v_new = state.v_wi + a_world * dt
+    p_new = state.p_wi + 0.5 * (state.v_wi + v_new) * dt
+    q_new = quat_mul(state.q_wi, quat_exp(w * dt))
 
-    new_core = CoreState(p_new, v_new, q_new, core.bias_gyro.copy(),
-                         core.bias_accel.copy())
-    new_state = FullState(new_core, state.extr.copy(),
-                          [o.copy() for o in state.objects])
+    new_state = FullState.from_parts(p_new, v_new, q_new, state.bias_gyro,
+                                     state.bias_accel, state.p_ic, state.q_ic,
+                                     state.objects)
 
     # first-order discrete transition of the 15-dim core error block
     f = np.eye(st.CORE_DIM)
@@ -84,9 +82,9 @@ def propagate(state: FullState, cov: np.ndarray, sample: ImuSample,
 
 
 def rest_state():
-    core = CoreState(np.zeros(3), np.zeros(3), QUAT_IDENTITY.copy(),
-                     np.zeros(3), np.zeros(3))
-    return FullState(core, Extrinsics(np.zeros(3), QUAT_IDENTITY.copy()), [])
+    return FullState.from_parts(np.zeros(3), np.zeros(3), QUAT_IDENTITY,
+                                np.zeros(3), np.zeros(3), np.zeros(3),
+                                QUAT_IDENTITY, [])
 
 
 def quiet_noise():
@@ -99,9 +97,9 @@ def test_hover_equilibrium():
     for _ in range(200):
         s, cov = propagate(s, cov, ImuSample(0.0, G.copy(), np.zeros(3)),
                            1 / 200, quiet_noise())
-    assert np.max(np.abs(s.core.p_wi)) < 1e-12
-    assert np.max(np.abs(s.core.v_wi)) < 1e-12
-    assert_allclose(s.core.q_wi, QUAT_IDENTITY, atol=1e-12)
+    assert np.max(np.abs(s.p_wi)) < 1e-12
+    assert np.max(np.abs(s.v_wi)) < 1e-12
+    assert_allclose(s.q_wi, QUAT_IDENTITY, atol=1e-12)
 
 
 def test_constant_acceleration_kinematics():
@@ -111,8 +109,8 @@ def test_constant_acceleration_kinematics():
     for _ in range(200):
         s, cov = propagate(s, cov, ImuSample(0.0, a_m, np.zeros(3)), 1 / 200,
                            quiet_noise())
-    assert_allclose(s.core.v_wi, [1.0, 0, 0], atol=1e-3)
-    assert_allclose(s.core.p_wi, [0.5, 0, 0], atol=1e-3)
+    assert_allclose(s.v_wi, [1.0, 0, 0], atol=1e-3)
+    assert_allclose(s.p_wi, [0.5, 0, 0], atol=1e-3)
 
 
 def test_pure_rotation_yaw():
@@ -121,10 +119,10 @@ def test_pure_rotation_yaw():
     w = np.array([0.0, 0.0, np.pi / 2])
     for k in range(200):
         # gravity reading follows the current attitude
-        a_m = rot_of(s.core.q_wi).T @ G
+        a_m = rot_of(s.q_wi).T @ G
         s, cov = propagate(s, cov, ImuSample(0.0, a_m, w), 1 / 200,
                            quiet_noise())
-    yaw = log_so3(rot_of(s.core.q_wi))
+    yaw = log_so3(rot_of(s.q_wi))
     assert_allclose(yaw, [0, 0, np.pi / 2], atol=1e-6)
 
 
@@ -161,7 +159,7 @@ def test_quaternion_norm_over_1e6_steps():
                                np.cos(0.002 * (base + k_arr)),
                                np.sin(0.001 * (base + k_arr))], axis=1)
         s, cov = propagate_batch(s, cov, acc, gyro, 1 / 200, noise)
-        worst = max(worst, abs(np.linalg.norm(s.core.q_wi) - 1.0))
+        worst = max(worst, abs(np.linalg.norm(s.q_wi) - 1.0))
     assert worst < 1e-9
 
 
@@ -170,11 +168,11 @@ def test_quaternion_norm_single_step_path():
     cov = np.eye(21) * 1e-9
     noise = ImuNoise(gravity=G)
     for k in range(20_000):
-        a_m = rot_of(s.core.q_wi).T @ G + 0.1 * np.sin(0.01 * k) * np.ones(3)
+        a_m = rot_of(s.q_wi).T @ G + 0.1 * np.sin(0.01 * k) * np.ones(3)
         w = 0.3 * np.array([np.sin(0.003 * k), np.cos(0.002 * k),
                             np.sin(0.001 * k)])
         s, cov = propagate(s, cov, ImuSample(0.0, a_m, w), 1 / 200, noise)
-    assert abs(np.linalg.norm(s.core.q_wi) - 1.0) < 1e-9
+    assert abs(np.linalg.norm(s.q_wi) - 1.0) < 1e-9
 
 
 def test_trace_nondecreasing():
@@ -192,12 +190,11 @@ def test_trace_nondecreasing():
 
 def test_batch_matches_repeated_single_steps():
     rng = np.random.default_rng(17)
-    core = CoreState(rng.normal(size=3), rng.normal(size=3),
-                     quat_of(exp_so3(rng.normal(size=3))),
-                     0.01 * rng.normal(size=3), 0.01 * rng.normal(size=3))
-    s = FullState(core, Extrinsics(np.zeros(3), QUAT_IDENTITY.copy()),
-                  [ObjectState("box", rng.normal(size=3),
-                               QUAT_IDENTITY.copy())])
+    s = FullState.from_parts(
+        rng.normal(size=3), rng.normal(size=3),
+        quat_of(exp_so3(rng.normal(size=3))), 0.01 * rng.normal(size=3),
+        0.01 * rng.normal(size=3), np.zeros(3), QUAT_IDENTITY,
+        [ObjectState("box", rng.normal(size=3), QUAT_IDENTITY)])
     a = rng.normal(size=(27, 27))
     cov = a @ a.T * 1e-4
     noise = ImuNoise()
@@ -210,9 +207,9 @@ def test_batch_matches_repeated_single_steps():
                                    ImuSample(k * dt, acc[k], gyro[k]), dt,
                                    noise)
     s_b, cov_b = propagate_batch(s, cov, acc, gyro, dt, noise)
-    assert_allclose(s_b.core.p_wi, s_seq.core.p_wi, atol=1e-14)
-    assert_allclose(s_b.core.v_wi, s_seq.core.v_wi, atol=1e-14)
-    assert_allclose(s_b.core.q_wi, s_seq.core.q_wi, atol=1e-14)
+    assert_allclose(s_b.p_wi, s_seq.p_wi, atol=1e-14)
+    assert_allclose(s_b.v_wi, s_seq.v_wi, atol=1e-14)
+    assert_allclose(s_b.q_wi, s_seq.q_wi, atol=1e-14)
     assert_allclose(cov_b, cov_seq, atol=1e-15)
 
 
@@ -283,5 +280,5 @@ class TestAgainstRk4Reference:
             a1, w1 = self.imu_signal((k + 1) * dt)
             sample = ImuSample(k * dt, 0.5 * (a0 + a1), 0.5 * (w0 + w1))
             s, cov = propagate(s, cov, sample, dt, quiet_noise())
-        assert np.linalg.norm(s.core.p_wi - p_ref) < 1e-3
-        assert np.linalg.norm(s.core.v_wi - v_ref) < 1e-3
+        assert np.linalg.norm(s.p_wi - p_ref) < 1e-3
+        assert np.linalg.norm(s.v_wi - v_ref) < 1e-3

@@ -47,9 +47,11 @@ def streams(draw):
     imu = ImuStream(t, draw(vectors((len(t), 3))), draw(vectors((len(t), 3))))
     t_cam = t[::ratio]
     ticks = [draw(hs.lists(measurements(), max_size=2)) for _ in t_cam]
+    truth_quat = draw(vectors((n_cam + 1, 4), unit_range))
+    norm = np.linalg.norm(truth_quat, axis=1, keepdims=True)
+    assume((norm > 1e-3).all())
     meas = MeasurementStream(t_cam, ticks, draw(vectors((n_cam + 1, 3))),
-                             draw(vectors((n_cam + 1, 3))),
-                             draw(vectors((n_cam + 1, 4))))
+                             draw(vectors((n_cam + 1, 3))), truth_quat / norm)
     return imu, meas
 
 
@@ -154,6 +156,60 @@ def test_moved_measurement_raises_with_line_number(tmp_path_factory,
     lines.insert(j, lines.pop(i))
     with pytest.raises(ReplayLogError, match=f"^line {j + 1}: MEAS"):
         read_log(_write(tmp_path_factory, "".join(lines).encode()))
+
+
+@settings(max_examples=60, deadline=None)
+@given(hs.data(), hs.sampled_from([0.0, 1e-3, 1.0 - 1e-8, 1.0 + 1e-8, 2.0]))
+def test_quaternion_off_unit_norm_raises_with_line_number(
+        tmp_path_factory, recorded, data, scale):
+    _, log, _ = recorded
+    lines = log.decode().splitlines(keepends=True)
+    i = data.draw(hs.sampled_from(
+        [i for i, line in enumerate(lines)
+         if ",TRUTH," in line or ",MEAS," in line]))
+    fields = lines[i][:-1].split(",")
+    q = slice(8, 12) if fields[1] == "TRUTH" else slice(6, 10)
+    fields[q] = [format(float(v) * scale, ".17g") for v in fields[q]]
+    lines[i] = ",".join(fields) + "\n"
+    with pytest.raises(ReplayLogError,
+                       match=f"^line {i + 1}: {fields[1]} quaternion"):
+        read_log(_write(tmp_path_factory, "".join(lines).encode()))
+
+
+@settings(max_examples=60, deadline=None)
+@given(hs.data(), hs.sampled_from(["0", "-0.0", "-1e-300", "-1"]))
+def test_variance_that_is_not_positive_raises_with_line_number(
+        tmp_path_factory, recorded, data, value):
+    _, log, _ = recorded
+    lines = log.decode().splitlines(keepends=True)
+    i = data.draw(hs.sampled_from(
+        [i for i, line in enumerate(lines) if ",MEAS," in line]))
+    fields = lines[i][:-1].split(",")
+    fields[data.draw(hs.integers(10, 15))] = value
+    lines[i] = ",".join(fields) + "\n"
+    with pytest.raises(ReplayLogError, match=f"^line {i + 1}: MEAS variances"):
+        read_log(_write(tmp_path_factory, "".join(lines).encode()))
+
+
+@pytest.mark.parametrize("q", [[0.0, 0.0, 0.0, 0.0], [1e-200, 0.0, 0.0, 0.0],
+                               [np.nan, 0.0, 0.0, 1.0],
+                               [0.0, np.inf, 0.0, 1.0]],
+                         ids=["zero", "underflow", "nan", "inf"])
+def test_measurement_quaternion_needs_a_finite_nonzero_norm(q):
+    with pytest.raises(ValueError, match="q_co"):
+        PoseMeasurement("box", np.zeros(3), np.array(q), np.ones(3),
+                        np.ones(3))
+
+
+@pytest.mark.parametrize("var", [0.0, -1.0, np.nan], ids=["zero", "negative",
+                                                          "nan"])
+@pytest.mark.parametrize("block", ["var_p", "var_theta"])
+def test_measurement_variances_must_be_positive(block, var):
+    variances = {"var_p": np.ones(3), "var_theta": np.ones(3)}
+    variances[block][1] = var
+    with pytest.raises(ValueError, match="variances must be positive"):
+        PoseMeasurement("box", np.zeros(3), np.array([0.0, 0.0, 0.0, 1.0]),
+                        **variances)
 
 
 @pytest.fixture(scope="module")

@@ -165,12 +165,12 @@ class TestGenMeasurements:
         world = single_object_world()
         sensor = SensorSpec(sigma_p=0.0, sigma_theta=0.0)
         stream = gen_measurements(traj, world, sensor, seed=0)
-        extr = camera_forward_extrinsics()
+        p_ic, q_ic = camera_forward_extrinsics()
         obj_pose = Pose(world[0].p_wo, world[0].q_wo)
         for k in (0, 10, 35):
             m = stream.ticks[k][0]
             t_wi = Pose(stream.truth_pos[k], stream.truth_quat[k])
-            t_wc = t_wi.compose(Pose(extr.p_ic, extr.q_ic))
+            t_wc = t_wi.compose(Pose(p_ic, q_ic))
             t_co = t_wc.inverse().compose(obj_pose)
             assert_allclose(m.p_co, t_co.p, atol=1e-12)
             assert_allclose(m.q_co, t_co.q, atol=1e-12)
@@ -192,14 +192,14 @@ class TestGenMeasurements:
         world = single_object_world()
         sigma_p = 0.03
         sensor = SensorSpec(sigma_p=sigma_p, sigma_theta=0.02)
-        extr = camera_forward_extrinsics()
+        p_ic, q_ic = camera_forward_extrinsics()
         obj_pose = Pose(world[0].p_wo, world[0].q_wo)
         errs = []
         for seed in range(50):
             stream = gen_measurements(traj, world, sensor, seed=seed)
             for k in range(len(stream.t)):
                 t_wi = Pose(stream.truth_pos[k], stream.truth_quat[k])
-                t_wc = t_wi.compose(Pose(extr.p_ic, extr.q_ic))
+                t_wc = t_wi.compose(Pose(p_ic, q_ic))
                 t_co = t_wc.inverse().compose(obj_pose)
                 errs.append(stream.ticks[k][0].p_co - t_co.p)
         errs = np.array(errs)
@@ -216,7 +216,7 @@ class TestGenMeasurements:
         world = single_object_world((2.1, 0.0, 0.0))
         sigma = 0.05
         sensor = SensorSpec(sigma_p=0.0, sigma_theta=sigma)
-        true_rot = rot_of(camera_forward_extrinsics().q_ic).T  # R_co here
+        true_rot = rot_of(camera_forward_extrinsics()[1]).T  # R_co here
         angles = []
         for seed in range(50):
             stream = gen_measurements(traj, world, sensor, seed=seed)

@@ -1,12 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hs
 from numpy.testing import assert_allclose
 
 from orekf import state as st
-from orekf.geom3 import QUAT_IDENTITY, exp_so3, quat_of, rot_of, skew
+from orekf.geom3 import QUAT_IDENTITY, SMALL_ANGLE, exp_so3, quat_exp, \
+    quat_mul, quat_of, rot_of, skew
+from orekf.propagation import ImuNoise, propagate_batch
 from orekf.state import (
-    CoreState,
-    Extrinsics,
     FullState,
     ObjectState,
     add_object,
@@ -15,37 +17,32 @@ from orekf.state import (
 
 
 def identity_state(n_objects=0):
-    core = CoreState(np.zeros(3), np.zeros(3), QUAT_IDENTITY.copy(),
-                     np.zeros(3), np.zeros(3))
-    extr = Extrinsics(np.zeros(3), QUAT_IDENTITY.copy())
     objects = [
-        ObjectState("box", np.array([1.0 + i, 0.0, 0.0]),
-                    QUAT_IDENTITY.copy())
+        ObjectState("box", np.array([1.0 + i, 0.0, 0.0]), QUAT_IDENTITY)
         for i in range(n_objects)
     ]
-    return FullState(core, extr, objects)
+    return FullState.from_parts(np.zeros(3), np.zeros(3), QUAT_IDENTITY,
+                                np.zeros(3), np.zeros(3), np.zeros(3),
+                                QUAT_IDENTITY, objects)
 
 
 def random_state(rng, n_objects=2):
-    core = CoreState(rng.normal(size=3), rng.normal(size=3),
-                     quat_of(exp_so3(rng.normal(size=3))),
-                     0.01 * rng.normal(size=3), 0.01 * rng.normal(size=3))
-    extr = Extrinsics(0.1 * rng.normal(size=3),
-                      quat_of(exp_so3(0.2 * rng.normal(size=3))))
-    objects = [
-        ObjectState("box", rng.normal(size=3) + np.array([2.0, 0, 0]),
-                    quat_of(exp_so3(rng.normal(size=3))))
-        for i in range(n_objects)
-    ]
-    return FullState(core, extr, objects)
+    return FullState.from_parts(
+        rng.normal(size=3), rng.normal(size=3),
+        quat_of(exp_so3(rng.normal(size=3))), 0.01 * rng.normal(size=3),
+        0.01 * rng.normal(size=3), 0.1 * rng.normal(size=3),
+        quat_of(exp_so3(0.2 * rng.normal(size=3))),
+        [ObjectState("box", rng.normal(size=3) + np.array([2.0, 0, 0]),
+                     quat_of(exp_so3(rng.normal(size=3))))
+         for i in range(n_objects)])
 
 
 class TestInjectError:
     def test_zero_is_noop(self):
         s = identity_state(2)
         out = inject_error(s, np.zeros(s.error_dim))
-        assert_allclose(out.core.p_wi, s.core.p_wi)
-        assert_allclose(out.core.q_wi, s.core.q_wi)
+        assert_allclose(out.p_wi, s.p_wi)
+        assert_allclose(out.q_wi, s.q_wi)
         assert_allclose(out.objects[1].p_wo, s.objects[1].p_wo)
 
     def test_position_shift_only(self):
@@ -53,9 +50,9 @@ class TestInjectError:
         dx = np.zeros(s.error_dim)
         dx[0] = 1.0
         out = inject_error(s, dx)
-        assert_allclose(out.core.p_wi, [1, 0, 0])
-        assert_allclose(out.core.v_wi, s.core.v_wi)
-        assert_allclose(out.core.q_wi, s.core.q_wi)
+        assert_allclose(out.p_wi, [1, 0, 0])
+        assert_allclose(out.v_wi, s.v_wi)
+        assert_allclose(out.q_wi, s.q_wi)
         assert_allclose(out.objects[0].p_wo, s.objects[0].p_wo)
 
     def test_attitude_injection_matches_exp(self):
@@ -63,7 +60,7 @@ class TestInjectError:
         dx = np.zeros(s.error_dim)
         dx[6:9] = [0, 0, np.pi / 2]
         out = inject_error(s, dx)
-        assert_allclose(rot_of(out.core.q_wi),
+        assert_allclose(rot_of(out.q_wi),
                         exp_so3(np.array([0, 0, np.pi / 2])), atol=1e-12)
 
     def test_dimension_mismatch(self):
@@ -80,8 +77,8 @@ class TestInjectError:
             joint = inject_error(s, d1 + d2)
             seq = inject_error(inject_error(s, d1), d2)
             # difference must be second order in the perturbation size
-            assert np.linalg.norm(joint.core.p_wi - seq.core.p_wi) < 10 * scale**2
-            assert np.linalg.norm(joint.core.q_wi - seq.core.q_wi) < 10 * scale**2
+            assert np.linalg.norm(joint.p_wi - seq.p_wi) < 10 * scale**2
+            assert np.linalg.norm(joint.q_wi - seq.q_wi) < 10 * scale**2
             assert np.linalg.norm(joint.objects[1].q_wo - seq.objects[1].q_wo) \
                 < 10 * scale**2
 
@@ -143,3 +140,110 @@ class TestAddObject:
 class TestAnchorMask:
     def test_single_object(self):
         assert list(range(27))[st.ANCHOR] == list(range(21, 27))
+
+
+def perturbed(q, dtheta):
+    """The quaternion injection of the per-part state: a new array, a copy
+    of q when the block is exactly zero."""
+    if dtheta[0] == 0.0 and dtheta[1] == 0.0 and dtheta[2] == 0.0:
+        return q.copy()
+    return quat_mul(q, quat_exp(dtheta))
+
+
+def inject_error_by_parts(state, dx):
+    """The boxplus as the per-part state (core, extrinsics, objects) wrote
+    it, one new array per block; the blocks in nominal order."""
+    parts = [state.p_wi + dx[st.POS], state.v_wi + dx[st.VEL],
+             perturbed(state.q_wi, dx[st.ATT]), state.bias_gyro + dx[st.BG],
+             state.bias_accel + dx[st.BA], state.p_ic + dx[st.P_IC],
+             perturbed(state.q_ic, dx[st.ATT_IC])]
+    for i, obj in enumerate(state.objects):
+        parts += [obj.p_wo + dx[st.obj_pos_slice(i)],
+                  perturbed(obj.q_wo, dx[st.obj_att_slice(i)])]
+    return np.concatenate(parts)
+
+
+def same_bits(a, b) -> bool:
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+# error blocks that are exactly zero, below the small-angle threshold, or
+# large
+_BLOCK = hs.one_of(
+    hs.just((0.0, 0.0, 0.0)),
+    hs.tuples(*[hs.floats(-SMALL_ANGLE / 2, SMALL_ANGLE / 2)] * 3),
+    hs.tuples(*[hs.floats(-4.0, 4.0)] * 3))
+
+
+@hs.composite
+def states_and_errors(draw, min_objects=0):
+    n = draw(hs.integers(min_objects, 5), label="objects")
+    state = random_state(np.random.default_rng(draw(hs.integers(0, 2**32))),
+                         n)
+    dx = draw(hs.lists(_BLOCK, min_size=7 + 2 * n, max_size=7 + 2 * n))
+    return state, np.ravel(dx)
+
+
+class TestVectorState:
+    def test_views_are_the_layout(self):
+        objects = [ObjectState("box", np.array([1.0, 2, 3]), QUAT_IDENTITY),
+                   ObjectState("mug", np.array([4.0, 5, 6]), QUAT_IDENTITY)]
+        parts = {"p_wi": np.full(3, 1.0), "v_wi": np.full(3, 2.0),
+                 "q_wi": np.array([0.0, 0, 0.6, 0.8]),
+                 "bias_gyro": np.full(3, 3.0), "bias_accel": np.full(3, 4.0),
+                 "p_ic": np.full(3, 5.0), "q_ic": np.array([0.6, 0, 0, 0.8])}
+        s = FullState.from_parts(*parts.values(), objects)
+        assert len(s.x) == st.BASE_LEN + 14 and s.classes == ("box", "mug")
+        assert s.error_dim == st.BASE_DIM + 12
+        assert same_bits(s.x[:st.BASE_LEN],
+                         np.concatenate(list(parts.values())))
+        for name, value in parts.items():
+            assert np.shares_memory(getattr(s, name), s.x)
+            assert same_bits(getattr(s, name), value)
+        assert_allclose(s.x[s.x.size - 7:], [4, 5, 6, 0, 0, 0, 1])
+        got = s.objects
+        assert [o.obj_class for o in got] == ["box", "mug"]
+        assert np.shares_memory(got[1].q_wo, s.x)
+        objects[0].p_wo[0] = 9.0            # the state holds its own copy
+        assert s.objects[0].p_wo[0] == 1.0
+
+    @settings(max_examples=200, deadline=None)
+    @given(states_and_errors())
+    def test_inject_error_equals_the_per_part_boxplus(self, case):
+        state, dx = case
+        x = state.x.copy()
+        out = inject_error(state, dx)
+        assert same_bits(out.x, inject_error_by_parts(state, dx))
+        assert out.classes == state.classes
+        assert same_bits(state.x, x)        # the input is left alone
+
+    @settings(max_examples=100, deadline=None)
+    @given(states_and_errors(min_objects=1))
+    def test_anchor_stays_bit_identical(self, case):
+        state, dx = case
+        dx[st.ANCHOR] = 0.0
+        out = inject_error(state, dx)
+        anchor = slice(st.BASE_LEN, st.BASE_LEN + 7)
+        assert same_bits(out.x[anchor], state.x[anchor])
+
+    @settings(max_examples=60, deadline=None)
+    @given(hs.integers(0, 5), hs.integers(1, 3), hs.integers(1, 5),
+           hs.integers(0, 2**32))
+    def test_propagation_moves_only_position_velocity_attitude(
+            self, n_objects, runs, steps, seed):
+        rng = np.random.default_rng(seed)
+        states = [random_state(rng, n_objects) for _ in range(runs)]
+        dim = states[0].error_dim
+        covs = np.stack([np.eye(dim) * 1e-4] * runs)
+        acc = [rng.normal(size=(steps, 3)) + [0, 0, 9.81]
+               for _ in range(runs)]
+        gyro = [rng.normal(size=(steps, 3)) for _ in range(runs)]
+        noise = ImuNoise()
+        if runs == 1:
+            out = [propagate_batch(states[0], covs[0], acc[0], gyro[0],
+                                   0.005, noise)[0]]
+        else:
+            out, _ = propagate_batch(states, covs, acc, gyro, 0.005, noise)
+        for before, after in zip(states, out):
+            assert same_bits(after.x[10:], before.x[10:])
+            assert after.classes == before.classes

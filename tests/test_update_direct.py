@@ -13,7 +13,7 @@ from orekf.geom3 import (
     quat_of,
     rot_of,
 )
-from orekf.state import CoreState, Extrinsics, FullState, ObjectState, inject_error
+from orekf.state import FullState, ObjectState, inject_error
 from orekf.update_direct import (
     DegenerateRotationError,
     PoseMeasurement,
@@ -34,35 +34,30 @@ REJECT_ALL = GatingDecision(Verdict.REJECT_ALL, 0.0)
 
 
 def random_state(rng, n_objects=2):
-    core = CoreState(rng.normal(size=3), rng.normal(size=3),
-                     quat_of(exp_so3(rng.normal(size=3))),
-                     0.01 * rng.normal(size=3), 0.01 * rng.normal(size=3))
-    extr = Extrinsics(0.2 * rng.normal(size=3),
-                      quat_of(exp_so3(0.5 * rng.normal(size=3))))
-    objects = [
-        ObjectState("box", rng.normal(size=3) * 2.0,
-                    quat_of(exp_so3(rng.normal(size=3))))
-        for i in range(n_objects)
-    ]
-    return FullState(core, extr, objects)
+    return FullState.from_parts(
+        rng.normal(size=3), rng.normal(size=3),
+        quat_of(exp_so3(rng.normal(size=3))), 0.01 * rng.normal(size=3),
+        0.01 * rng.normal(size=3), 0.2 * rng.normal(size=3),
+        quat_of(exp_so3(0.5 * rng.normal(size=3))),
+        [ObjectState("box", rng.normal(size=3) * 2.0,
+                     quat_of(exp_so3(rng.normal(size=3))))
+         for i in range(n_objects)])
 
 
 def consistent_measurement(state, obj_index, var=1e-4):
     obj = state.objects[obj_index]
     return PoseMeasurement(
         obj.obj_class,
-        predicted_relative_position(state.core, state.extr, obj),
-        predicted_relative_quat(state.core, state.extr, obj),
+        predicted_relative_position(state, obj),
+        predicted_relative_quat(state, obj),
         np.full(3, var), np.full(3, var))
 
 
 def identity_state(p_wo=(1.0, 0.0, 0.0)):
-    core = CoreState(np.zeros(3), np.zeros(3), QUAT_IDENTITY.copy(),
-                     np.zeros(3), np.zeros(3))
-    extr = Extrinsics(np.zeros(3), QUAT_IDENTITY.copy())
-    obj = ObjectState("box", np.asarray(p_wo, dtype=float),
-                      QUAT_IDENTITY.copy())
-    return FullState(core, extr, [obj])
+    obj = ObjectState("box", np.asarray(p_wo, dtype=float), QUAT_IDENTITY)
+    return FullState.from_parts(np.zeros(3), np.zeros(3), QUAT_IDENTITY,
+                                np.zeros(3), np.zeros(3), np.zeros(3),
+                                QUAT_IDENTITY, [obj])
 
 
 class TestResiduals:
@@ -71,16 +66,15 @@ class TestResiduals:
         for _ in range(20):
             s = random_state(rng)
             meas = consistent_measurement(s, 1)
-            assert np.max(np.abs(residual_position(s.core, s.extr,
-                                                   s.objects[1], meas))) < 1e-12
-            assert np.max(np.abs(residual_rotation(s.core, s.extr,
-                                                   s.objects[1], meas))) < 1e-12
+            obj = s.objects[1]
+            assert np.max(np.abs(residual_position(s, obj, meas))) < 1e-12
+            assert np.max(np.abs(residual_rotation(s, obj, meas))) < 1e-12
 
     def test_identity_direct_subtraction(self):
         s = identity_state()
         meas = PoseMeasurement("box", np.array([1.1, 0, 0]),
                                QUAT_IDENTITY.copy(), np.ones(3), np.ones(3))
-        assert_allclose(residual_position(s.core, s.extr, s.objects[0], meas),
+        assert_allclose(residual_position(s, s.objects[0], meas),
                         [0.1, 0, 0], atol=1e-14)
 
     def test_rotation_residual_small_angle_form(self):
@@ -89,7 +83,7 @@ class TestResiduals:
         meas = PoseMeasurement("box", np.array([1.0, 0, 0]),
                                quat_of(exp_so3([0, 0, yaw])),
                                np.ones(3), np.ones(3))
-        r = residual_rotation(s.core, s.extr, s.objects[0], meas)
+        r = residual_rotation(s, s.objects[0], meas)
         assert_allclose(r, [0, 0, 2 * np.tan(yaw / 2)], atol=1e-12)
 
     def test_rotation_residual_agrees_with_log_map(self):
@@ -99,12 +93,11 @@ class TestResiduals:
             angle = rng.uniform(0.01, 0.2)
             axis = rng.normal(size=3)
             axis /= np.linalg.norm(axis)
-            q_meas = quat_mul(predicted_relative_quat(s.core, s.extr,
-                                                      s.objects[0]),
+            q_meas = quat_mul(predicted_relative_quat(s, s.objects[0]),
                               quat_of(exp_so3(angle * axis)))
             meas = PoseMeasurement("box", np.zeros(3), q_meas,
                                    np.ones(3), np.ones(3))
-            r = residual_rotation(s.core, s.extr, s.objects[0], meas)
+            r = residual_rotation(s, s.objects[0], meas)
             # 2 tan(theta/2) u vs theta u: cubic discrepancy
             assert np.linalg.norm(r - angle * axis) < 0.5 * angle**3
 
@@ -114,7 +107,7 @@ class TestResiduals:
         meas = PoseMeasurement("box", np.zeros(3), q_meas,
                                np.ones(3), np.ones(3))
         with pytest.raises(DegenerateRotationError):
-            residual_rotation(s.core, s.extr, s.objects[0], meas)
+            residual_rotation(s, s.objects[0], meas)
 
     def test_position_residual_ignores_measured_rotation(self):
         rng = np.random.default_rng(2)
@@ -124,8 +117,8 @@ class TestResiduals:
                              np.ones(3), np.ones(3))
         m2 = PoseMeasurement("box", p, quat_of(exp_so3(rng.normal(size=3))),
                              np.ones(3), np.ones(3))
-        r1 = residual_position(s.core, s.extr, s.objects[0], m1)
-        r2 = residual_position(s.core, s.extr, s.objects[0], m2)
+        r1 = residual_position(s, s.objects[0], m1)
+        r2 = residual_position(s, s.objects[0], m2)
         assert np.array_equal(r1, r2)  # bit-identical decoupling
 
 
@@ -181,10 +174,10 @@ class TestJacobians:
             obj_of = lambda stp: stp.objects[idx]
             h_p, h_r = jacobians(s, idx)
             fd_p = fd_jacobian(
-                lambda stp: residual_position(stp.core, stp.extr, obj_of(stp),
+                lambda stp: residual_position(stp, obj_of(stp),
                                               meas), s)
             fd_r = fd_jacobian(
-                lambda stp: residual_rotation(stp.core, stp.extr, obj_of(stp),
+                lambda stp: residual_rotation(stp, obj_of(stp),
                                               meas), s)
             assert np.max(np.abs(h_p - fd_p)) < 1e-5
             assert np.max(np.abs(h_r - fd_r)) < 1e-5
@@ -249,30 +242,30 @@ class TestEkfUpdate:
         stacked = build_stacked(s, [(0, consistent_measurement(s, 0))],
                                 [ACCEPT])
         s2, cov2 = ekf_update(s, cov, stacked)
-        assert_allclose(s2.core.p_wi, s.core.p_wi, atol=1e-12)
-        assert_allclose(s2.core.q_wi, s.core.q_wi, atol=1e-12)
+        assert_allclose(s2.p_wi, s.p_wi, atol=1e-12)
+        assert_allclose(s2.q_wi, s.q_wi, atol=1e-12)
         assert np.trace(cov2) < np.trace(cov)
 
     def test_scalar_kalman_gain(self):
         # 1-D analog: prior variance 1, noise variance 1, residual 1 -> 0.5
-        core = CoreState(np.zeros(3), np.zeros(3), QUAT_IDENTITY.copy(),
-                         np.zeros(3), np.zeros(3))
-        s = FullState(core, Extrinsics(np.zeros(3), QUAT_IDENTITY.copy()), [])
+        s = FullState.from_parts(np.zeros(3), np.zeros(3), QUAT_IDENTITY,
+                                 np.zeros(3), np.zeros(3), np.zeros(3),
+                                 QUAT_IDENTITY, [])
         cov = np.eye(21) * 1e-18
         cov[0, 0] = 1.0
         h = np.zeros((1, 21))
         h[0, 0] = 1.0
         stacked = StackedUpdate(np.array([1.0]), h, np.array([[1.0]]))
         s2, cov2 = ekf_update(s, cov, stacked)
-        assert_allclose(s2.core.p_wi, [0.5, 0, 0], atol=1e-12)
+        assert_allclose(s2.p_wi, [0.5, 0, 0], atol=1e-12)
         assert_allclose(cov2[0, 0], 0.5, atol=1e-12)
 
     def test_matches_batch_least_squares(self):
         # static 3-step linear problem on the position block
         rng = np.random.default_rng(12)
-        core = CoreState(np.zeros(3), np.zeros(3), QUAT_IDENTITY.copy(),
-                         np.zeros(3), np.zeros(3))
-        s = FullState(core, Extrinsics(np.zeros(3), QUAT_IDENTITY.copy()), [])
+        s = FullState.from_parts(np.zeros(3), np.zeros(3), QUAT_IDENTITY,
+                                 np.zeros(3), np.zeros(3), np.zeros(3),
+                                 QUAT_IDENTITY, [])
         p0 = 4.0
         cov = np.eye(21) * 1e-18
         cov[0:3, 0:3] = np.eye(3) * p0
@@ -282,7 +275,7 @@ class TestEkfUpdate:
         vars_ = [0.5, 1.0, 2.0]
         s_k, cov_k = s, cov
         for z, v in zip(zs, vars_):
-            resid = z - s_k.core.p_wi
+            resid = z - s_k.p_wi
             s_k, cov_k = ekf_update(s_k, cov_k,
                                     StackedUpdate(resid, h_row, np.eye(3) * v))
         # independent batch solve of the same weighted LS problem
@@ -292,7 +285,7 @@ class TestEkfUpdate:
             info += np.eye(3) / v
             rhs += z / v
         batch = np.linalg.solve(info, rhs)
-        assert_allclose(s_k.core.p_wi, batch, atol=1e-6)
+        assert_allclose(s_k.p_wi, batch, atol=1e-6)
         assert_allclose(cov_k[0:3, 0:3], np.linalg.inv(info), atol=1e-6)
 
     def test_joseph_form_keeps_symmetry_and_psd(self):
@@ -317,7 +310,7 @@ class TestEkfUpdate:
         h[0, 0] = h[1, 0] = 1.0  # duplicate rows, zero noise -> singular S
         stacked = StackedUpdate(np.array([1.0, 1.0]), h, np.zeros((2, 2)))
         s2, cov2 = ekf_update(s, cov, stacked)
-        assert_allclose(s2.core.p_wi, s.core.p_wi)
+        assert_allclose(s2.p_wi, s.p_wi)
         assert np.array_equal(cov2, cov)
 
     def test_anchor_pose_bit_identical_after_update(self):

@@ -4,7 +4,6 @@ from numpy.testing import assert_allclose
 
 from orekf.gating import GatingDecision, Verdict
 from orekf.geom3 import QUAT_IDENTITY, exp_so3, quat_conj, quat_mul, quat_of, rot_of
-from orekf.state import CoreState, Extrinsics, FullState, ObjectState
 from orekf.update_direct import PoseMeasurement, ekf_update
 from orekf.update_direct import residual_position as direct_residual_position
 from orekf import update_inverse as ui
@@ -65,9 +64,9 @@ class TestResidualsAndJacobians:
             s = random_state(rng)
             inv = inverted_consistent(s, 1)
             obj = s.objects[1]
-            assert np.max(np.abs(ui.residual_position(s.core, s.extr, obj,
+            assert np.max(np.abs(ui.residual_position(s, obj,
                                                       inv))) < 1e-12
-            assert np.max(np.abs(ui.residual_rotation(s.core, s.extr, obj,
+            assert np.max(np.abs(ui.residual_rotation(s, obj,
                                                       inv))) < 1e-12
 
     def test_rotation_noise_leaks_into_inverse_position_residual_only(self):
@@ -80,13 +79,13 @@ class TestResidualsAndJacobians:
             quat_mul(clean.q_co, quat_of(exp_so3([0.05, -0.02, 0.04]))),
             clean.var_p.copy(), clean.var_theta.copy())
         # direct position residual: bit-identical under rotation perturbation
-        d0 = direct_residual_position(s.core, s.extr, obj, clean)
-        d1 = direct_residual_position(s.core, s.extr, obj, noisy_rot)
+        d0 = direct_residual_position(s, obj, clean)
+        d1 = direct_residual_position(s, obj, noisy_rot)
         assert np.array_equal(d0, d1)
         # inverse position residual: perturbed
-        i0 = ui.residual_position(s.core, s.extr, obj,
+        i0 = ui.residual_position(s, obj,
                                   ui.invert_measurement(clean))
-        i1 = ui.residual_position(s.core, s.extr, obj,
+        i1 = ui.residual_position(s, obj,
                                   ui.invert_measurement(noisy_rot))
         assert np.linalg.norm(i1 - i0) > 1e-3
 
@@ -97,12 +96,10 @@ class TestResidualsAndJacobians:
             idx = int(rng.integers(0, 2))
             inv = inverted_consistent(s, idx)
             h_p, h_r = ui.jacobians(s, idx)
-            fd_p = fd_jacobian(
-                lambda stp: ui.residual_position(stp.core, stp.extr,
-                                                 stp.objects[idx], inv), s)
-            fd_r = fd_jacobian(
-                lambda stp: ui.residual_rotation(stp.core, stp.extr,
-                                                 stp.objects[idx], inv), s)
+            fd_p = fd_jacobian(lambda stp: ui.residual_position(
+                stp, stp.objects[idx], inv), s)
+            fd_r = fd_jacobian(lambda stp: ui.residual_rotation(
+                stp, stp.objects[idx], inv), s)
             assert np.max(np.abs(h_p - fd_p)) < 1e-5
             assert np.max(np.abs(h_r - fd_r)) < 1e-5
 
@@ -134,7 +131,7 @@ class TestInverseUpdate:
         stacked = ui.build_stacked(s, [(0, consistent_measurement(s, 0))],
                                    [ACCEPT])
         s2, cov2 = ekf_update(s, cov, stacked)
-        assert_allclose(s2.core.p_wi, s.core.p_wi, atol=1e-12)
+        assert_allclose(s2.p_wi, s.p_wi, atol=1e-12)
         assert np.trace(cov2) < np.trace(cov)
 
     def test_reject_all_skips_update(self):
