@@ -148,9 +148,9 @@ def _chi2_decisions(d2: np.ndarray, dof: int, alpha: float):
     block per match for chi2, (position, rotation) for chi2p. With one
     block, r[0] and r[-1] are the same test and the verdict is all or
     nothing."""
-    reject = d2 > chi2_quantile(dof, 1.0 - alpha)
-    return [GatingDecision(_compose(r[0], r[-1]), float(x))
-            for r, x in zip(reject, d2.max(axis=1))]
+    reject = (d2 > chi2_quantile(dof, 1.0 - alpha)).tolist()
+    return [GatingDecision(_compose(r[0], r[-1]), x)
+            for r, x in zip(reject, d2.max(axis=1).tolist())]
 
 
 def _block_distances(residuals, jacs, cov, noises):
@@ -182,8 +182,10 @@ def _threshold_test(meas: PoseMeasurement, tau_p: float, tau_theta: float,
     """Reject a block whose largest reported standard deviation exceeds its
     threshold (strict inequality: the boundary is accepted); without
     per_block, reject the whole measurement instead."""
-    sig_p = float(np.max(np.sqrt(meas.var_p)))
-    sig_r = float(np.max(np.sqrt(meas.var_theta)))
+    # the square root is correctly rounded and monotone, so the root of the
+    # largest variance is the largest root
+    sig_p = math.sqrt(max(meas.var_p.tolist()))
+    sig_r = math.sqrt(max(meas.var_theta.tolist()))
     reject_p, reject_r = sig_p > tau_p, sig_r > tau_theta
     if not per_block:
         reject_p = reject_r = reject_p or reject_r
@@ -249,12 +251,11 @@ def gate_frame(cfg: GatingConfig, s: np.ndarray, residual: np.ndarray,
     keeps its position block when the test kept it and partial_ok allows
     partial rejection, and is rejected whole otherwise.
     """
-    degenerate = np.array(degenerate, dtype=bool)
     decisions = FRAME_TESTS[cfg.method](cfg, s, residual, measurements,
                                         degenerate)
-    for j in np.flatnonzero(degenerate):
+    for j, bad in enumerate(degenerate):
         decision = decisions[j]
-        if decision.keeps_rotation():
+        if bad and decision.keeps_rotation():
             verdict = (Verdict.REJECT_ROTATION
                        if decision.keeps_position() and partial_ok
                        else Verdict.REJECT_ALL)

@@ -133,7 +133,10 @@ def right_jacobian(theta_vec: np.ndarray) -> np.ndarray:
     return _I3 - c1 * k + c2 * (k @ k)
 
 
-def _canonical_components(x: float, y: float, z: float, w: float):
+def quat_canonical_components(q) -> tuple:
+    """quat_canonical of a quaternion given as four Python floats, as a
+    tuple of floats; the array forms below wrap these scalar forms."""
+    x, y, z, w = q
     n = math.sqrt(x * x + y * y + z * z + w * w)
     if abs(n - 1.0) > 1e-12:
         # skipping the division when already unit keeps canonicalization
@@ -150,34 +153,54 @@ def _canonical_components(x: float, y: float, z: float, w: float):
     return x, y, z, w
 
 
-def quat_canonical(q: np.ndarray) -> np.ndarray:
-    """Normalize and fix the sign so qw >= 0 (ties broken lexicographically)."""
-    x, y, z, w = _floats(q)
-    out = np.empty(4)
-    out[0], out[1], out[2], out[3] = _canonical_components(x, y, z, w)
-    return out
-
-
-def quat_mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Hamilton product a (x) b, scalar-last, canonicalized output."""
-    ax, ay, az, aw = _floats(a)
-    bx, by, bz, bw = _floats(b)
-    out = np.empty(4)
-    out[0], out[1], out[2], out[3] = _canonical_components(
+def quat_mul_components(a, b) -> tuple:
+    """quat_mul of two quaternions given as four Python floats each."""
+    ax, ay, az, aw = a
+    bx, by, bz, bw = b
+    return quat_canonical_components((
         aw * bx + ax * bw + ay * bz - az * by,
         aw * by - ax * bz + ay * bw + az * bx,
         aw * bz + ax * by - ay * bx + az * bw,
         aw * bw - ax * bx - ay * by - az * bz,
-    )
+    ))
+
+
+def quat_conj_components(q) -> tuple:
+    """quat_conj of a quaternion given as four Python floats."""
+    x, y, z, w = q
+    return quat_canonical_components((-x, -y, -z, w))
+
+
+def quat_exp_components(v) -> tuple:
+    """quat_exp of a rotation vector given as three Python floats."""
+    x, y, z = v
+    angle = math.sqrt(x * x + y * y + z * z)
+    if angle < SMALL_ANGLE:
+        return quat_canonical_components((0.5 * x, 0.5 * y, 0.5 * z, 1.0))
+    s = math.sin(0.5 * angle) / angle
+    return quat_canonical_components((x * s, y * s, z * s,
+                                      math.cos(0.5 * angle)))
+
+
+def _quat(components) -> np.ndarray:
+    out = np.empty(4)
+    out[0], out[1], out[2], out[3] = components
     return out
+
+
+def quat_canonical(q: np.ndarray) -> np.ndarray:
+    """Normalize and fix the sign so qw >= 0 (ties broken lexicographically)."""
+    return _quat(quat_canonical_components(_floats(q)))
+
+
+def quat_mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Hamilton product a (x) b, scalar-last, canonicalized output."""
+    return _quat(quat_mul_components(_floats(a), _floats(b)))
 
 
 def quat_conj(q: np.ndarray) -> np.ndarray:
     """Conjugate (= inverse for unit quaternions)."""
-    x, y, z, w = _floats(q)
-    out = np.empty(4)
-    out[0], out[1], out[2], out[3] = _canonical_components(-x, -y, -z, w)
-    return out
+    return _quat(quat_conj_components(_floats(q)))
 
 
 def rot_of(q: np.ndarray) -> np.ndarray:
@@ -268,17 +291,7 @@ def quat_of(rot: np.ndarray) -> np.ndarray:
 
 def quat_exp(theta_vec: np.ndarray) -> np.ndarray:
     """Quaternion of a rotation vector; equals quat_of(exp_so3(theta_vec))."""
-    x, y, z = _floats(theta_vec)
-    angle = math.sqrt(x * x + y * y + z * z)
-    out = np.empty(4)
-    if angle < SMALL_ANGLE:
-        out[0], out[1], out[2], out[3] = _canonical_components(
-            0.5 * x, 0.5 * y, 0.5 * z, 1.0)
-        return out
-    s = math.sin(0.5 * angle) / angle
-    out[0], out[1], out[2], out[3] = _canonical_components(
-        x * s, y * s, z * s, math.cos(0.5 * angle))
-    return out
+    return _quat(quat_exp_components(_floats(theta_vec)))
 
 
 def dR_transpose_sandwich(q_rot: np.ndarray, r_rot: np.ndarray,

@@ -7,41 +7,67 @@ import math
 
 import numpy as np
 
-from .geom3 import log_so3, quat_mul, rot_of
+from .geom3 import quat_mul, rot_of
 from .state import FullState, ObjectState, add_object
 from .update_direct import PoseMeasurement
 
 
-def project_measurement(state, meas: PoseMeasurement) -> ObjectState:
-    """Measured object with its pose expressed in the world frame."""
-    rot_wi = rot_of(state.q_wi)
-    p_wo = state.p_wi + rot_wi @ (state.p_ic + rot_of(state.q_ic) @ meas.p_co)
-    q_wo = quat_mul(quat_mul(state.q_wi, state.q_ic), meas.q_co)
-    return ObjectState(meas.object_class, p_wo, q_wo)
+def camera_frame(state) -> tuple:
+    """What projecting a measurement needs of the state, evaluated once per
+    camera tick: (p_wi, R_wi, p_ic, R_ic, q_wi (x) q_ic)."""
+    return (state.p_wi, rot_of(state.q_wi), state.p_ic, rot_of(state.q_ic),
+            quat_mul(state.q_wi, state.q_ic))
 
 
-def geodesic_angle(q_a: np.ndarray, q_b: np.ndarray) -> float:
-    return float(np.linalg.norm(log_so3(rot_of(q_a).T @ rot_of(q_b))))
+def project_measurement(camera: tuple, meas: PoseMeasurement) -> ObjectState:
+    """Measured object with its pose expressed in the world frame, from the
+    camera_frame of the state."""
+    p_wi, rot_wi, p_ic, rot_ic, q_wc = camera
+    return ObjectState(meas.object_class,
+                       p_wi + rot_wi @ (p_ic + rot_ic @ meas.p_co),
+                       quat_mul(q_wc, meas.q_co))
+
+
+def geodesic_angle(q_a, q_b) -> float:
+    """Angle [rad] in [0, pi] of the rotation between two unit quaternions,
+    given as any sequences of four floats: 2 atan2(|v|, |w|) of the
+    relative quaternion q_a* (x) q_b. Unlike the norm of the matrix
+    logarithm of R_a^T R_b it keeps full precision near 0 and near pi."""
+    ax, ay, az, aw = q_a
+    bx, by, bz, bw = q_b
+    x = aw * bx - ax * bw - ay * bz + az * by
+    y = aw * by + ax * bz - ay * bw - az * bx
+    z = aw * bz - ax * by + ay * bx - az * bw
+    w = aw * bw + ax * bx + ay * by + az * bz
+    return 2.0 * math.atan2(math.sqrt(x * x + y * y + z * z), abs(w))
+
+
+def _pose_floats(objects) -> list:
+    """(class, position, quaternion) of each ObjectState, in Python floats."""
+    return [(o.obj_class, o.p_wo.tolist(), o.q_wo.tolist()) for o in objects]
 
 
 def match(projected, objects, gate: float):
     """Optimal assignment of projected measurements to estimated objects.
 
     projected and objects are lists of ObjectState, projected in
-    measurement order. A pair costs |dp| [m] + geodesic(dR) [rad] and is
-    feasible when the classes agree and the cost is at most the gate. The
-    assignment has the most feasible pairs and, among those, the least
+    measurement order. A pair costs |dp| [m] + geodesic_angle [rad] and is
+    feasible when the classes agree and the cost is at most the gate; the
+    costs are evaluated in Python floats, from each pose converted once.
+    The assignment has the most feasible pairs and, among those, the least
     total cost. Returns (pairs, unmatched): pairs as (measurement index,
     object index) sorted by measurement index, unmatched as the measurement
     indices left over (these trigger initialization).
     """
     n_meas, n_obj = len(projected), len(objects)
+    obj_poses = _pose_floats(objects)
     feasible = {}
-    for i, meas in enumerate(projected):
-        for j, obj in enumerate(objects):
-            if meas.obj_class == obj.obj_class:
-                cost = (float(np.linalg.norm(meas.p_wo - obj.p_wo))
-                        + geodesic_angle(meas.q_wo, obj.q_wo))
+    for i, (cls_m, (xm, ym, zm), q_m) in enumerate(_pose_floats(projected)):
+        for j, (cls_o, (xo, yo, zo), q_o) in enumerate(obj_poses):
+            if cls_m == cls_o:
+                dx, dy, dz = xm - xo, ym - yo, zm - zo
+                cost = (math.sqrt(dx * dx + dy * dy + dz * dz)
+                        + geodesic_angle(q_m, q_o))
                 if cost <= gate:
                     feasible[i, j] = cost
     if (len({i for i, _ in feasible}) == len(feasible)
@@ -116,7 +142,7 @@ def initialize_object(state: FullState, cov: np.ndarray,
     object initialized is the anchor and the new object's id is the old
     object count.
     """
-    obj = project_measurement(state, meas)
+    obj = project_measurement(camera_frame(state), meas)
     meas_cov = np.zeros((6, 6))
     meas_cov[:3, :3] = np.diag(meas.var_p)
     meas_cov[3:, 3:] = np.diag(meas.var_theta)

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -142,30 +143,41 @@ def _strapdown(core: list, acc: list, gyro: list, dt: float, gravity):
     return [px, py, pz], [vx, vy, vz], [qx, qy, qz, qw], entries
 
 
+@lru_cache(maxsize=16)
+def _step_constants(dt: float, sigma_acc: float, sigma_gyro: float,
+                    sigma_gyro_bias: float, sigma_accel_bias: float):
+    """The diagonal of a step's process noise and the sample-independent
+    part of its transition F, as read-only arrays."""
+    q_diag = np.zeros(st.CORE_DIM)
+    q_diag[st.VEL] = sigma_acc**2 * dt
+    q_diag[st.ATT] = sigma_gyro**2 * dt
+    q_diag[st.BG] = sigma_gyro_bias**2 * dt
+    q_diag[st.BA] = sigma_accel_bias**2 * dt
+    f_const = np.eye(st.CORE_DIM)
+    f_const[st.POS, st.VEL] = dt * np.eye(3)
+    f_const[st.ATT, st.BG] = -np.eye(3) * dt
+    q_diag.flags.writeable = f_const.flags.writeable = False
+    return q_diag, f_const
+
+
 def _compound(entries: np.ndarray, dt: float, noise: ImuNoise):
     """F_tot = F_n ... F_1 and the noise folded through the later factors,
     from the F entries of each step of one run, (n, 24), or of R runs,
     (n, R, 24); for R runs each factor is one stacked matmul."""
-    lead = entries.shape[1:-1]
-    q_diag = np.zeros(st.CORE_DIM)
-    q_diag[st.VEL] = noise.sigma_acc**2 * dt
-    q_diag[st.ATT] = noise.sigma_gyro**2 * dt
-    q_diag[st.BG] = noise.sigma_gyro_bias**2 * dt
-    q_diag[st.BA] = noise.sigma_accel_bias**2 * dt
-    flat = lead + (-1,)
-    f_k = np.zeros(lead + (st.CORE_DIM, st.CORE_DIM))
-    f_k_flat = f_k.reshape(flat)        # views that follow f_k, as f_k_t
-    f_k_flat[..., :: st.CORE_DIM + 1] = 1.0
-    f_k[..., st.POS, st.VEL] = dt * np.eye(3)
-    f_k[..., st.ATT, st.BG] = -np.eye(3) * dt
-    f_k_t = f_k.swapaxes(-1, -2)
+    q_diag, f_const = _step_constants(
+        dt, noise.sigma_acc, noise.sigma_gyro, noise.sigma_gyro_bias,
+        noise.sigma_accel_bias)
+    # every step's F, its sample entries written in at once
+    f = np.empty(entries.shape[:-1] + f_const.shape)
+    f[...] = f_const
+    f.reshape(entries.shape[:-1] + (-1,))[..., _F_FLAT] = entries
     # the 2-D identity broadcasts over the runs in the first product; every
     # product F Q F^T lands in q_tot, so its diagonal is one fixed view
     f_tot = np.eye(st.CORE_DIM)
-    q_tot = np.zeros_like(f_k)
-    q_tot_diag = q_tot.reshape(flat)[..., :: st.CORE_DIM + 1]
-    for step in entries:
-        f_k_flat[..., _F_FLAT] = step
+    q_tot = np.zeros(f.shape[1:])
+    q_tot_diag = q_tot.reshape(q_tot.shape[:-2] + (-1,))[
+        ..., :: st.CORE_DIM + 1]
+    for f_k, f_k_t in zip(f, f.swapaxes(-1, -2)):
         f_tot = f_k @ f_tot
         np.matmul(f_k @ q_tot, f_k_t, out=q_tot)
         q_tot_diag += q_diag

@@ -15,7 +15,8 @@ from . import gating as gt
 from . import state as st
 from . import update_direct as ud
 from . import update_inverse as ui
-from .matching import initialize_object, match, project_measurement
+from .matching import camera_frame, initialize_object, match, \
+    project_measurement
 from .metrics import RunRecord
 from .propagation import ImuNoise, propagate_batch
 from .sim import ImuStream, MeasurementStream, camera_forward_extrinsics, \
@@ -67,7 +68,11 @@ class _Run:
         fault = timing_fault(imu.t, meas_stream.t)
         if fault:
             raise ValueError(fault[2])
-        self.imu, self.meas = imu, meas_stream
+        self.meas = meas_stream
+        # midpoint-representative samples of consecutive endpoints
+        # (trapezoidal measurement averaging)
+        self.mid_acc = 0.5 * (imu.acc[:-1] + imu.acc[1:])
+        self.mid_gyro = 0.5 * (imu.gyro[:-1] + imu.gyro[1:])
         self.n_cam = len(meas_stream.t) - 1
         self.ratio = (len(imu.t) - 1) // self.n_cam if self.n_cam else 0
         self.dt = float(imu.t[1] - imu.t[0]) if self.ratio else 0.0
@@ -84,12 +89,9 @@ class _Run:
         self.diverged = self.done = False
 
     def samples(self, k: int):
-        """Midpoint-representative IMU samples of camera interval k, from
-        consecutive endpoints (trapezoidal measurement averaging)."""
+        """The midpoint IMU samples of camera interval k."""
         i0, i1 = (k - 1) * self.ratio, k * self.ratio
-        imu = self.imu
-        return (0.5 * (imu.acc[i0:i1] + imu.acc[i0 + 1:i1 + 1]),
-                0.5 * (imu.gyro[i0:i1] + imu.gyro[i0 + 1:i1 + 1]))
+        return self.mid_acc[i0:i1], self.mid_gyro[i0:i1]
 
     def record(self, k: int, divergence_bound: float):
         """Record tick k; mark the run diverged and done when the position
@@ -118,12 +120,10 @@ class _Frame:
     through innovation, gating and the update, which replaces state and
     cov."""
 
-    def __init__(self, state, cov, counts, frame, pairs, model):
+    def __init__(self, state, cov, counts, matches, model):
         self.state, self.cov, self.counts = state, cov, counts
-        self.measurements = [frame[mi] for mi, _ in pairs]
-        self.stacked, self.degenerate = ud.stack_frame(
-            state, [(oi, m) for (_, oi), m in zip(pairs, self.measurements)],
-            model)
+        self.measurements = [m for *_, m in matches]
+        self.stacked, self.degenerate = ud.stack_frame(state, matches, model)
         self.partial_ok = model.partial_ok
         self.s = self.hp = None
 
@@ -144,14 +144,15 @@ def _shape(frame: _Frame):
 
 def _associate(run: _Run, frame, match_gate: float):
     """Match the frame's measurements to the run's objects and initialize
-    the unmatched ones; returns the matched (measurement, object) pairs."""
-    state = run.state
-    projected = [project_measurement(state, m) for m in frame]
-    pairs, unmatched = match(projected, state.objects, match_gate)
+    the unmatched ones; returns the matches as stack_frame takes them,
+    (object index, object, measurement) in measurement order."""
+    camera, objects = camera_frame(run.state), run.state.objects
+    pairs, unmatched = match([project_measurement(camera, m) for m in frame],
+                             objects, match_gate)
     for mi in unmatched:
         run.state, run.cov = initialize_object(run.state, run.cov, frame[mi])
         run.counts["initialized"] += 1
-    return pairs
+    return [(oi, objects[oi], frame[mi]) for mi, oi in pairs]
 
 
 def _propagate(runs, k: int, noise: ImuNoise):
@@ -200,9 +201,9 @@ def _gate(frame: _Frame, gating: gt.GatingConfig) -> bool:
     counts["degenerate"] += sum(frame.degenerate)
 
     keep = ud.kept_rows(decisions)
-    if keep.size == 0:
+    if not keep:
         return False
-    if keep.size < stacked.residual.size:
+    if len(keep) < stacked.residual.size:
         frame.stacked = stacked.rows(keep)
         frame.s, frame.hp = frame.s[np.ix_(keep, keep)], frame.hp[keep]
     counts["updates"] += 1
@@ -256,11 +257,11 @@ def run_lockstep(streams, setup: FilterSetup) -> list:
     its streams alone, and a run in a group of one calls the single-run
     kernels.
     """
-    runs = [_Run(imu, meas) for imu, meas in streams]
     model = MODELS[setup.filter_type]
     # a diverging estimate overflows to inf and NaN; the divergence test
     # reports that, so numpy's warnings would only repeat it
     with np.errstate(over="ignore", invalid="ignore"):
+        runs = [_Run(imu, meas) for imu, meas in streams]
         for k in range(max((r.n_cam for r in runs), default=-1) + 1):
             live = [r for r in runs if not r.done and k <= r.n_cam]
             if k > 0:
@@ -269,10 +270,10 @@ def run_lockstep(streams, setup: FilterSetup) -> list:
             for run in live:
                 frame = run.meas.ticks[k]
                 if frame:
-                    pairs = _associate(run, frame, setup.match_gate)
-                    if pairs:
+                    matches = _associate(run, frame, setup.match_gate)
+                    if matches:
                         frames.append((run, _Frame(run.state, run.cov,
-                                                   run.counts, frame, pairs,
+                                                   run.counts, matches,
                                                    model)))
             if frames:
                 _update_frames([f for _, f in frames], setup.gating)

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geom3 import quat_exp, quat_mul, rot_of, skew
+from .geom3 import quat_exp_components, quat_mul_components, rot_of, skew
 
 
 CORE_DIM = 15
@@ -106,17 +106,13 @@ def symmetrize(cov: np.ndarray) -> np.ndarray:
     return 0.5 * (cov + cov.swapaxes(-1, -2))
 
 
-def _perturb_quat(x: np.ndarray, at: int, dtheta: np.ndarray):
-    """Right-multiplicative attitude injection q (x) exp(dtheta) of the
-    quaternion x[at:at + 4], in place; an exactly zero block leaves the
-    quaternion bit-identical (the anchor relies on this)."""
-    if dtheta[0] == 0.0 and dtheta[1] == 0.0 and dtheta[2] == 0.0:
-        return
-    x[at:at + 4] = quat_mul(x[at:at + 4], quat_exp(dtheta))
-
-
 def inject_error(state: FullState, dx: np.ndarray) -> FullState:
-    """Apply an error-state vector to the nominal state (the boxplus)."""
+    """Apply an error-state vector to the nominal state (the boxplus).
+
+    Vector blocks add; each quaternion block q becomes q (x) exp(dtheta),
+    in one scalar pass over the blocks. An exactly zero dtheta leaves its
+    quaternion bit-identical (the anchor relies on this).
+    """
     dx = np.asarray(dx, dtype=float)
     if dx.shape != (state.error_dim,):
         raise ValueError(
@@ -125,10 +121,16 @@ def inject_error(state: FullState, dx: np.ndarray) -> FullState:
     x[0:6] += dx[0:6]            # p_wi, v_wi
     x[10:19] += dx[9:18]         # bias_gyro, bias_accel, p_ic
     x[BASE_LEN:].reshape(-1, 7)[:, :3] += dx[BASE_DIM:].reshape(-1, 6)[:, :3]
-    _perturb_quat(x, 6, dx[ATT])
-    _perturb_quat(x, 19, dx[ATT_IC])
-    for i in range(len(state.classes)):
-        _perturb_quat(x, BASE_LEN + 7 * i + 3, dx[obj_att_slice(i)])
+    nominal, error = state.x.tolist(), dx.tolist()
+    # (nominal index, error index) of the attitude, the camera mount and
+    # each object's orientation
+    blocks = [(6, 6), (19, 18)] + [(BASE_LEN + 7 * i + 3, BASE_DIM + 6 * i + 3)
+                                   for i in range(len(state.classes))]
+    for at, i in blocks:
+        dtheta = error[i:i + 3]
+        if any(dtheta):          # nonzero or NaN; -0.0 counts as zero
+            x[at:at + 4] = quat_mul_components(nominal[at:at + 4],
+                                               quat_exp_components(dtheta))
     return FullState(x, state.classes)
 
 

@@ -17,13 +17,15 @@ update defined here serve both.
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 import numpy as np
 
 from . import state as st
-from .geom3 import quat_canonical, quat_conj, quat_mul, rot_of, skew
+from .geom3 import quat_canonical_components, quat_conj, \
+    quat_conj_components, quat_mul, quat_mul_components, rot_of, skew
 from .state import FullState, inject_error, symmetrize
 
 log = logging.getLogger(__name__)
@@ -57,13 +59,15 @@ class PoseMeasurement:
 
     def __post_init__(self):
         self.p_co = np.asarray(self.p_co, dtype=float)
-        q_co = np.asarray(self.q_co, dtype=float)
-        if not 0.0 < q_co @ q_co < np.inf:
+        q_co = np.asarray(self.q_co, dtype=float).tolist()
+        x, y, z, w = q_co
+        if not 0.0 < x * x + y * y + z * z + w * w < math.inf:
             raise ValueError("q_co needs a finite, nonzero norm")
-        self.q_co = quat_canonical(q_co)
+        self.q_co = np.array(quat_canonical_components(q_co))
         self.var_p = np.asarray(self.var_p, dtype=float)
         self.var_theta = np.asarray(self.var_theta, dtype=float)
-        if not ((self.var_p > 0).all() and (self.var_theta > 0).all()):
+        if not all(v > 0.0 for v in self.var_p.tolist()
+                   + self.var_theta.tolist()):    # NaN fails too
             raise ValueError("measurement variances must be positive")
 
 
@@ -80,7 +84,7 @@ class StackedUpdate:
     jacobian: np.ndarray   # (m, error_dim)
     noise_cov: np.ndarray  # (m, m)
 
-    def rows(self, keep: np.ndarray) -> "StackedUpdate":
+    def rows(self, keep) -> "StackedUpdate":
         """The sub-problem of the rows listed in keep."""
         return StackedUpdate(self.residual[keep], self.jacobian[keep],
                              self.noise_cov[np.ix_(keep, keep)])
@@ -104,13 +108,14 @@ def residual_position(state, obj, meas: PoseMeasurement) -> np.ndarray:
     return meas.p_co - predicted_relative_position(state, obj)
 
 
-def small_angle_residual(q_pred: np.ndarray, q_meas: np.ndarray) -> np.ndarray:
-    """2*qv/qw of the right quaternion difference pred^-1 (x) meas."""
-    dq = quat_mul(quat_conj(q_pred), q_meas)
-    if dq[3] <= DEGENERATE_QW:
+def small_angle_residual(q_pred, q_meas) -> np.ndarray:
+    """2*qv/qw of the right quaternion difference pred^-1 (x) meas, from
+    quaternions given as four floats each (or arrays)."""
+    x, y, z, w = quat_mul_components(quat_conj_components(q_pred), q_meas)
+    if w <= DEGENERATE_QW:
         raise DegenerateRotationError(
             "rotation residual too close to pi for the small-angle form")
-    return 2.0 * dq[:3] / dq[3]
+    return np.array((2.0 * x / w, 2.0 * y / w, 2.0 * z / w))
 
 
 def residual_rotation(state, obj, meas: PoseMeasurement) -> np.ndarray:
@@ -127,7 +132,8 @@ def _frame_terms(state):
     a = ric_t @ rwi_t
     return (rot_wi, rot_ic, ric_t, rwi_t, a, -ric_t @ rwi_t,
             skew(rwi_t @ p_wi), -skew(ric_t @ p_ic), skew(a @ p_wi),
-            quat_mul(quat_conj(q_ic), quat_conj(q_wi)))
+            quat_mul_components(quat_conj_components(q_ic.tolist()),
+                                quat_conj_components(q_wi.tolist())))
 
 
 def _object_rows(h, terms, state, obj, i):
@@ -145,7 +151,7 @@ def _object_rows(h, terms, state, obj, i):
     h[3:, st.ATT_IC] = h_att @ rot_ic
     h[3:, st.obj_att_slice(i)] = _I3
     return (ric_t @ (-state.p_ic + rwi_t @ (obj.p_wo - state.p_wi)),
-            quat_mul(q_cw, obj.q_wo))
+            quat_mul_components(q_cw, obj.q_wo.tolist()))
 
 
 def _observe(meas: PoseMeasurement):
@@ -163,7 +169,8 @@ class MeasurementModel(NamedTuple):
     frame_terms(state): the rotation products every object shares.
     object_rows(h, terms, state, obj, i) -> (p_pred, q_pred): writes
     the Jacobian rows [position; rotation] of object i into h (6 x
-    error_dim) and returns the prediction of observe's (p, q).
+    error_dim) and returns the prediction of observe's (p, q), with q_pred
+    as four Python floats.
     partial_ok: whether one block of a measurement may be rejected alone.
     """
 
@@ -196,26 +203,27 @@ def stack_frame(state: FullState, matches, model=DIRECT):
     """Residuals, Jacobians and noise of every matched measurement of one
     frame, six rows [position, rotation] per match in match order.
 
-    matches is a list of (obj_index, PoseMeasurement) as observed; model
-    says how each enters the filter. Returns (StackedUpdate, degenerate):
+    matches is a list of (obj_index, obj, PoseMeasurement): the index and
+    the ObjectState of a matched object, as state.objects lists it, and the
+    measurement as observed (objects are only appended, so a list taken
+    before an initialization still serves); model says how each enters the
+    filter. Returns (StackedUpdate, degenerate):
     degenerate[j] is True when the rotation residual of match j is too
     close to pi to use; its rows are zero in the residual and must not be
     kept. The noise is block-diagonal in the 3x3 blocks of model.observe.
     """
     terms = model.frame_terms(state)
-    objects = state.objects
     n = len(matches)
     h = np.zeros((n, 6, state.error_dim))
     z = np.empty((n, 6))
     blocks = np.empty((n, 2, 3, 3))
     degenerate = []
-    for j, (i, meas) in enumerate(matches):
+    for j, (i, obj, meas) in enumerate(matches):
         p, q, blocks[j, 0], blocks[j, 1] = model.observe(meas)
-        p_pred, q_pred = model.object_rows(h[j], terms, state, objects[i],
-                                           i)
+        p_pred, q_pred = model.object_rows(h[j], terms, state, obj, i)
         z[j, :3] = p - p_pred
         try:
-            z[j, 3:] = small_angle_residual(q_pred, q)
+            z[j, 3:] = small_angle_residual(q_pred, q.tolist())
             degenerate.append(False)
         except DegenerateRotationError:
             z[j, 3:] = 0.0
@@ -227,15 +235,15 @@ def stack_frame(state: FullState, matches, model=DIRECT):
                           noise.reshape(6 * n, 6 * n)), degenerate)
 
 
-def kept_rows(decisions) -> np.ndarray:
+def kept_rows(decisions) -> list:
     """Indices of the rows of a frame stack that the decisions keep."""
     keep = []
     for j, decision in enumerate(decisions):
         if decision.keeps_position():
-            keep.extend(range(6 * j, 6 * j + 3))
+            keep += range(6 * j, 6 * j + 3)
         if decision.keeps_rotation():
-            keep.extend(range(6 * j + 3, 6 * j + 6))
-    return np.array(keep, dtype=np.intp)
+            keep += range(6 * j + 3, 6 * j + 6)
+    return keep
 
 
 def build_stacked(state: FullState, matches, decisions, model=DIRECT):
@@ -252,13 +260,15 @@ def build_stacked(state: FullState, matches, decisions, model=DIRECT):
             d.keeps_position() != d.keeps_rotation() for d in decisions):
         raise ValueError(
             "partial rejection is not supported by this measurement model")
-    stacked, degenerate = stack_frame(state, matches, model)
+    objects = state.objects
+    stacked, degenerate = stack_frame(
+        state, [(i, objects[i], meas) for i, meas in matches], model)
     for bad, decision in zip(degenerate, decisions):
         if bad and decision.keeps_rotation():
             raise DegenerateRotationError(
                 "a degenerate rotation residual cannot be kept")
     keep = kept_rows(decisions)
-    if keep.size == 0:
+    if not keep:
         return None
     return stacked.rows(keep)
 

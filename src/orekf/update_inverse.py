@@ -17,7 +17,8 @@ import numpy as np
 
 from . import state as st
 from . import update_direct as ud
-from .geom3 import quat_conj, quat_mul, rot_of, skew
+from .geom3 import quat_conj, quat_conj_components, quat_mul, \
+    quat_mul_components, rot_of, skew
 from .update_direct import PoseMeasurement, small_angle_residual
 
 
@@ -73,14 +74,15 @@ def _frame_terms(state):
     share, evaluated once per frame."""
     rot_wi, rot_ic = rot_of(state.q_wi), rot_of(state.q_ic)
     return (rot_wi, rot_ic.T, state.p_wi + rot_wi @ state.p_ic,
-            skew(state.p_ic), -rot_ic.T @ rot_wi.T)
+            skew(state.p_ic), -rot_ic.T @ rot_wi.T, state.q_wi.tolist(),
+            state.q_ic.tolist())
 
 
 def _object_rows(h, terms, state, obj, i):
     """Write the Jacobian rows [position; rotation] of object i into h
     (6 x error_dim) and return the predicted camera pose in the object
     frame (p_oc, q_oc)."""
-    rot_wi, ric_t, p_wc, skew_p_ic, c = terms
+    rot_wi, ric_t, p_wc, skew_p_ic, c, q_wi, q_ic = terms
     rot_wo = rot_of(obj.q_wo)
     rwo_t = rot_wo.T
     p_oc = rwo_t @ (p_wc - obj.p_wo)
@@ -92,8 +94,8 @@ def _object_rows(h, terms, state, obj, i):
     h[3:, st.ATT] = ric_t
     h[3:, st.ATT_IC] = np.eye(3)
     h[3:, st.obj_att_slice(i)] = c @ rot_wo
-    return p_oc, quat_mul(quat_mul(quat_conj(obj.q_wo), state.q_wi),
-                          state.q_ic)
+    return p_oc, quat_mul_components(quat_mul_components(
+        quat_conj_components(obj.q_wo.tolist()), q_wi), q_ic)
 
 
 # The measurement inverted into the object frame: the inversion couples the

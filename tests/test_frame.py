@@ -31,7 +31,10 @@ FLIP = quat_of(exp_so3([0.0, 0.0, np.pi - 1e-9]))
 
 def update_frame(state, cov, frame, pairs, setup, counts):
     """The run loop's update of one run's frame: (state, cov) after it."""
-    f = _Frame(state, cov, counts, frame, pairs, MODELS[setup.filter_type])
+    objects = state.objects
+    f = _Frame(state, cov, counts,
+               [(oi, objects[oi], frame[mi]) for mi, oi in pairs],
+               MODELS[setup.filter_type])
     _update_frames([f], setup.gating)
     return f.state, f.cov
 
@@ -224,7 +227,8 @@ def test_frame_verdicts_match_per_block_functions(case):
     model = ud if direct else ui
     measurements = [frame[mi] for mi, _ in pairs]
     stacked, degenerate = model.stack_frame(
-        state, [(oi, m) for (_, oi), m in zip(pairs, measurements)])
+        state, [(oi, state.objects[oi], m)
+                for (_, oi), m in zip(pairs, measurements)])
     s, _ = ud.innovation(cov, stacked)
     got = gt.gate_frame(cfg, s, stacked.residual, measurements, degenerate,
                         partial_ok=direct)
@@ -244,7 +248,7 @@ def test_degenerate_chi2p_tests_the_position_block_alone(spread, verdict):
     state, cov, frame, pairs = random_frame(3, 2, 2, (0.0, 0.0), 1)
     frame[0].p_co = frame[0].p_co + spread * np.sqrt(frame[0].var_p)
     stacked, degenerate = ud.stack_frame(
-        state, [(oi, frame[mi]) for mi, oi in pairs])
+        state, [(oi, state.objects[oi], frame[mi]) for mi, oi in pairs])
     assert degenerate == [True, False]
     assert np.array_equal(stacked.residual[3:6], np.zeros(3))
     s, _ = ud.innovation(cov, stacked)

@@ -1,5 +1,6 @@
-"""Every module-level import in src/orekf is used or re-exported, every
-top-level definition is read somewhere, and the CLI starts without scipy."""
+"""Every module-level import in src/orekf, tests and demos is used or
+re-exported, every top-level definition is read somewhere, and the CLI
+starts without scipy."""
 
 import ast
 import os
@@ -17,6 +18,9 @@ ROOT = Path(orekf.__file__).parents[2]
 # the code that may read a definition of src/orekf
 READERS = sorted(p for d in ("src", "tests", "demos", "perfbench")
                  for p in (ROOT / d).rglob("*.py"))
+# the modules whose imports must all be used
+IMPORTERS = MODULES + sorted(p for d in ("tests", "demos")
+                             for p in (ROOT / d).glob("*.py"))
 
 
 def unused_imports(source: str) -> list:
@@ -49,7 +53,8 @@ def test_finds_an_unused_import():
     assert unused_imports(source) == [(2, "os")]
 
 
-@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+@pytest.mark.parametrize("path", IMPORTERS, ids=lambda p: (
+    p.name if p in MODULES else f"{p.parent.name}/{p.name}"))
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
 

@@ -151,8 +151,9 @@ class TestKernels:
     def test_innovation_and_update_with_a_skipped_run(self):
         runs = self.states()
         frames = [runner._Frame(state, cov, {},
-                                [consistent_measurement(state, 0, var=1e-2)],
-                                [(0, 0)], ud.DIRECT)
+                                [(0, state.objects[0],
+                                  consistent_measurement(state, 0, var=1e-2))],
+                                ud.DIRECT)
                   for state, cov, _ in runs]
         stacked = ud.stack_updates([f.stacked for f in frames])
         covs = np.stack([f.cov for f in frames])

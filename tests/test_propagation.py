@@ -15,7 +15,8 @@ from orekf.geom3 import (
     rot_of,
     skew,
 )
-from orekf.propagation import MAX_DT, ImuNoise, propagate_batch
+from orekf.propagation import _F_FLAT, MAX_DT, ImuNoise, _compound, \
+    _step_constants, propagate_batch
 from orekf.state import FullState, ObjectState
 
 G = np.array([0.0, 0.0, 9.81])
@@ -211,6 +212,57 @@ def test_batch_matches_repeated_single_steps():
     assert_allclose(s_b.v_wi, s_seq.v_wi, atol=1e-14)
     assert_allclose(s_b.q_wi, s_seq.q_wi, atol=1e-14)
     assert_allclose(cov_b, cov_seq, atol=1e-15)
+
+
+def compound_step_by_step(entries, dt, noise):
+    """_compound as it was first written: the noise diagonal and F built
+    anew, and each step's entries written into one F, step by step."""
+    lead = entries.shape[1:-1]
+    q_diag = np.zeros(st.CORE_DIM)
+    q_diag[st.VEL] = noise.sigma_acc**2 * dt
+    q_diag[st.ATT] = noise.sigma_gyro**2 * dt
+    q_diag[st.BG] = noise.sigma_gyro_bias**2 * dt
+    q_diag[st.BA] = noise.sigma_accel_bias**2 * dt
+    flat = lead + (-1,)
+    f_k = np.zeros(lead + (st.CORE_DIM, st.CORE_DIM))
+    f_k_flat = f_k.reshape(flat)
+    f_k_flat[..., :: st.CORE_DIM + 1] = 1.0
+    f_k[..., st.POS, st.VEL] = dt * np.eye(3)
+    f_k[..., st.ATT, st.BG] = -np.eye(3) * dt
+    f_k_t = f_k.swapaxes(-1, -2)
+    f_tot = np.eye(st.CORE_DIM)
+    q_tot = np.zeros_like(f_k)
+    q_tot_diag = q_tot.reshape(flat)[..., :: st.CORE_DIM + 1]
+    for step in entries:
+        f_k_flat[..., _F_FLAT] = step
+        f_tot = f_k @ f_tot
+        np.matmul(f_k @ q_tot, f_k_t, out=q_tot)
+        q_tot_diag += q_diag
+    return f_tot, q_tot
+
+
+@pytest.mark.parametrize("lead", [(), (1,), (3,)], ids=["single", "stack1",
+                                                        "stack3"])
+def test_compound_is_the_step_by_step_form_bit_for_bit(lead):
+    rng = np.random.default_rng(23)
+    for steps, dt in ((1, 0.005), (10, 0.005), (4, 0.1)):
+        noise = ImuNoise(*rng.uniform(1e-4, 0.2, 4))
+        entries = rng.normal(size=(steps,) + lead + (24,))
+        for got, want in zip(_compound(entries, dt, noise),
+                             compound_step_by_step(entries, dt, noise)):
+            assert got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+
+
+def test_step_constants_are_shared_and_read_only():
+    noise = ImuNoise()
+    args = (0.005, noise.sigma_acc, noise.sigma_gyro, noise.sigma_gyro_bias,
+            noise.sigma_accel_bias)
+    q_diag, f_const = _step_constants(*args)
+    assert _step_constants(*args)[0] is q_diag
+    for array in (q_diag, f_const):
+        with pytest.raises(ValueError):
+            array[0] = 1.0
 
 
 def test_batch_validates_dt():

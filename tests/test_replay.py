@@ -11,6 +11,7 @@ from hypothesis.extra.numpy import arrays
 
 from orekf.cli import cmd_replay, cmd_run
 from orekf.config import RunConfig
+from orekf.geom3 import quat_canonical
 from orekf.propagation import ImuNoise
 from orekf.replay import ReplayLogError, read_log, write_log
 from orekf.runner import FilterSetup, run_filter
@@ -210,6 +211,17 @@ def test_measurement_variances_must_be_positive(block, var):
     with pytest.raises(ValueError, match="variances must be positive"):
         PoseMeasurement("box", np.zeros(3), np.array([0.0, 0.0, 0.0, 1.0]),
                         **variances)
+
+
+@settings(max_examples=300, deadline=None)
+@given(hs.lists(hs.floats(-2.0, 2.0) | hs.sampled_from([0.0, -0.0, 1e-160]),
+                min_size=4, max_size=4))
+def test_measurement_quaternion_is_the_canonical_quaternion(q):
+    """The stored q_co is quat_canonical of the given one, bit for bit."""
+    q = np.array(q)
+    assume(0.0 < q @ q < np.inf)
+    got = PoseMeasurement("box", np.zeros(3), q, np.ones(3), np.ones(3)).q_co
+    assert got.tobytes() == quat_canonical(q).tobytes()
 
 
 @pytest.fixture(scope="module")

@@ -176,11 +176,11 @@ _BLOCK = hs.one_of(
 
 
 @hs.composite
-def states_and_errors(draw, min_objects=0):
+def states_and_errors(draw, min_objects=0, block=_BLOCK):
     n = draw(hs.integers(min_objects, 5), label="objects")
     state = random_state(np.random.default_rng(draw(hs.integers(0, 2**32))),
                          n)
-    dx = draw(hs.lists(_BLOCK, min_size=7 + 2 * n, max_size=7 + 2 * n))
+    dx = draw(hs.lists(block, min_size=7 + 2 * n, max_size=7 + 2 * n))
     return state, np.ravel(dx)
 
 
@@ -207,8 +207,9 @@ class TestVectorState:
         objects[0].p_wo[0] = 9.0            # the state holds its own copy
         assert s.objects[0].p_wo[0] == 1.0
 
-    @settings(max_examples=200, deadline=None)
-    @given(states_and_errors())
+    @settings(max_examples=300, deadline=None)
+    @given(states_and_errors(block=_BLOCK | hs.sampled_from(
+        [(-0.0, 0.0, -0.0), (np.nan, 0.0, 0.0), (0.0, 0.0, 1e-300)])))
     def test_inject_error_equals_the_per_part_boxplus(self, case):
         state, dx = case
         x = state.x.copy()

@@ -2,17 +2,8 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from orekf import state as st
 from orekf.gating import GatingDecision, Verdict
-from orekf.geom3 import (
-    QUAT_IDENTITY,
-    exp_so3,
-    log_so3,
-    quat_canonical,
-    quat_mul,
-    quat_of,
-    rot_of,
-)
+from orekf.geom3 import QUAT_IDENTITY, exp_so3, quat_mul, quat_of
 from orekf.state import FullState, ObjectState, inject_error
 from orekf.update_direct import (
     DegenerateRotationError,
