@@ -20,6 +20,11 @@ from .update_direct import PoseMeasurement, well_conditioned
 METHODS = ("none", "chi2", "chi2p", "aor", "aorp")
 PARTIAL_METHODS = ("chi2p", "aorp")
 
+# Thresholds on the largest reported standard deviation: position [m] and
+# rotation [rad], for full (aor) and per-block (aorp) rejection.
+AOR_TAU_P, AOR_TAU_THETA = 0.15, 0.35
+AORP_TAU_P, AORP_TAU_THETA = 0.10, 0.175
+
 
 class Verdict(enum.Enum):
     ACCEPT_ALL = "accept_all"
@@ -44,21 +49,15 @@ class GatingDecision:
 class GatingConfig:
     method: str = "none"
     chi2_alpha: float = 0.05
-    aor_tau_p: float = 0.15
-    aor_tau_theta: float = 0.35
-    aorp_tau_p: float = 0.10
-    aorp_tau_theta: float = 0.175
 
     def __post_init__(self):
         if self.method not in METHODS:
             raise ValueError(f"unknown gating method {self.method!r}; "
                              f"expected one of {METHODS}")
-        if not 0.0 < self.chi2_alpha < 1.0:
-            raise ValueError("chi2_alpha must be in (0, 1)")
-        for name in ("aor_tau_p", "aor_tau_theta", "aorp_tau_p",
-                     "aorp_tau_theta"):
-            if not getattr(self, name) > 0:
-                raise ValueError(f"{name} must be positive")
+        # the chi-square tests take the quantile at 1 - chi2_alpha
+        if not 0.0 < 1.0 - self.chi2_alpha < 1.0:
+            raise ValueError("chi2_alpha must be in (0, 1), with 1 - "
+                             "chi2_alpha < 1")
 
 
 def _chi2_sf(dof: int, x: float) -> float:
@@ -193,15 +192,15 @@ def _threshold_test(meas: PoseMeasurement, tau_p: float, tau_theta: float,
                           max(sig_p / tau_p, sig_r / tau_theta))
 
 
-def aor(meas: PoseMeasurement, cfg: GatingConfig) -> GatingDecision:
+def aor(meas: PoseMeasurement) -> GatingDecision:
     """Reject the whole measurement when any reported standard deviation
     exceeds its threshold."""
-    return _threshold_test(meas, cfg.aor_tau_p, cfg.aor_tau_theta, False)
+    return _threshold_test(meas, AOR_TAU_P, AOR_TAU_THETA, False)
 
 
-def aorp(meas: PoseMeasurement, cfg: GatingConfig) -> GatingDecision:
+def aorp(meas: PoseMeasurement) -> GatingDecision:
     """Per-block variant of aor: position and rotation rejected separately."""
-    return _threshold_test(meas, cfg.aorp_tau_p, cfg.aorp_tau_theta, True)
+    return _threshold_test(meas, AORP_TAU_P, AORP_TAU_THETA, True)
 
 
 def _accept_all(cfg, s, residual, measurements, degenerate):
@@ -209,7 +208,7 @@ def _accept_all(cfg, s, residual, measurements, degenerate):
 
 
 def _thresholds(test, cfg, s, residual, measurements, degenerate):
-    return [test(m, cfg) for m in measurements]
+    return [test(m) for m in measurements]
 
 
 def _chi2_blocks(block, cfg, s, residual, measurements, degenerate):

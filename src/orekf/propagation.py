@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -11,29 +11,31 @@ import numpy as np
 from . import state as st
 
 MAX_DT = 0.1
+GRAVITY = np.array([0.0, 0.0, 9.81])   # m/s^2; the world z-axis points up
+GRAVITY.flags.writeable = False
 
 
 @dataclass
 class ImuNoise:
-    """Continuous-time noise densities and gravity.
+    """Continuous-time noise densities.
 
     sigma_acc / sigma_gyro are white-noise densities (m/s^2/sqrt(Hz),
     rad/s/sqrt(Hz)); sigma_accel_bias / sigma_gyro_bias are bias random-walk
-    densities. gravity points along +z by default (world z-axis up).
+    densities. Each must be nonnegative with a finite square.
     """
 
     sigma_acc: float = 0.02
     sigma_gyro: float = 0.002
     sigma_accel_bias: float = 5e-4
     sigma_gyro_bias: float = 5e-5
-    gravity: np.ndarray = field(default_factory=lambda: np.array([0.0, 0.0, 9.81]))
 
     def __post_init__(self):
-        self.gravity = np.asarray(self.gravity, dtype=float)
         for name in ("sigma_acc", "sigma_gyro", "sigma_accel_bias",
                      "sigma_gyro_bias"):
-            if not getattr(self, name) >= 0:
-                raise ValueError(f"{name} must be nonnegative")
+            sigma = getattr(self, name)
+            if not (sigma >= 0 and math.isfinite(sigma * sigma)):
+                raise ValueError(f"{name} must be nonnegative with a finite "
+                                 "square")
 
 
 # (row, column) of the entries of a step's transition F that depend on the
@@ -46,7 +48,7 @@ _F_COLS = np.array([6, 7, 8, 6, 7, 8, 6, 7, 8, 12, 13, 14, 12, 13, 14, 12,
 _F_FLAT = _F_ROWS * st.CORE_DIM + _F_COLS     # the same in a flattened F
 
 
-def _strapdown(core: list, acc: list, gyro: list, dt: float, gravity):
+def _strapdown(core: list, acc: list, gyro: list, dt: float):
     """Integrate the nominal core state, the first 16 values of x as a list,
     through the samples (lists of [x, y, z]) in scalar arithmetic.
 
@@ -56,7 +58,7 @@ def _strapdown(core: list, acc: list, gyro: list, dt: float, gravity):
     """
     (px, py, pz, vx, vy, vz, qx, qy, qz, qw, bgx, bgy, bgz, bax, bay,
      baz) = core
-    gx, gy, gz = (float(c) for c in gravity)
+    gx, gy, gz = GRAVITY.tolist()
     half_dt = 0.5 * dt
     entries = []
 
@@ -229,14 +231,13 @@ def propagate_batch(state, cov: np.ndarray, acc, gyro, dt: float,
     if cov.ndim == 2:
         p, v, q, entries = _strapdown(
             state.x[:16].tolist(), np.asarray(acc, dtype=float).tolist(),
-            np.asarray(gyro, dtype=float).tolist(), dt, noise.gravity)
+            np.asarray(gyro, dtype=float).tolist(), dt)
         f_tot, q_tot = _compound(np.fromiter(entries, float, len(entries))
                                  .reshape(-1, 24), dt, noise)
         return _propagated(state, p, v, q), _apply(cov, f_tot, q_tot)
     steps = [_strapdown(s.x[:16].tolist(),
                         np.asarray(a, dtype=float).tolist(),
-                        np.asarray(g, dtype=float).tolist(), dt,
-                        noise.gravity)
+                        np.asarray(g, dtype=float).tolist(), dt)
              for s, a, g in zip(state, acc, gyro)]
     entries = np.array([e for *_, e in steps]).reshape(len(steps), -1, 24)
     f_tot, q_tot = _compound(entries.swapaxes(0, 1), dt, noise)

@@ -26,6 +26,7 @@ from .state import FullState
 log = logging.getLogger(__name__)
 
 INIT_VAR = 1e-12
+DIVERGENCE_BOUND = 10.0    # m: a larger position error ends the run
 
 # The filters by name: the one place that knows which ones exist.
 MODELS = {"direct": ud.DIRECT, "inverse": ui.INVERSE}
@@ -41,7 +42,6 @@ class FilterSetup:
     filter_type: str = "direct"
     gating: gt.GatingConfig = field(default_factory=gt.GatingConfig)
     match_gate: float = 6.0
-    divergence_bound: float = 10.0
 
     def __post_init__(self):
         if self.filter_type not in MODELS:
@@ -54,8 +54,6 @@ class FilterSetup:
                 f"rotation; it cannot gate with {self.gating.method!r}")
         if not self.match_gate > 0:
             raise ValueError("match_gate must be positive")
-        if not self.divergence_bound > 0:
-            raise ValueError("divergence_bound must be positive")
 
 
 class _Run:
@@ -93,16 +91,16 @@ class _Run:
         i0, i1 = (k - 1) * self.ratio, k * self.ratio
         return self.mid_acc[i0:i1], self.mid_gyro[i0:i1]
 
-    def record(self, k: int, divergence_bound: float):
+    def record(self, k: int):
         """Record tick k; mark the run diverged and done when the position
-        error exceeds the bound or is not a number."""
+        error exceeds DIVERGENCE_BOUND or is not a number."""
         p_wi = self.state.p_wi
         self.rec_pe.append(p_wi.copy())
         self.rec_qe.append(self.state.q_wi.copy())
         self.rec_cp.append(self.cov[st.POS, st.POS].copy())
         self.rec_ca.append(self.cov[st.ATT, st.ATT].copy())
         err = np.linalg.norm(p_wi - self.meas.truth_pos[k])
-        if not err <= divergence_bound:
+        if not err <= DIVERGENCE_BOUND:
             self.diverged = self.done = True
             log.info("diverged at t=%.2f (|e|=%.2f m)", self.meas.t[k], err)
 
@@ -280,7 +278,7 @@ def run_lockstep(streams, setup: FilterSetup) -> list:
                 for run, f in frames:
                     run.state, run.cov = f.state, f.cov
             for run in live:
-                run.record(k, setup.divergence_bound)
+                run.record(k)
     return [r.run_record() for r in runs]
 
 
@@ -292,7 +290,7 @@ def run_filter(imu: ImuStream, meas_stream: MeasurementStream,
     with its message. Between camera ticks the consecutive IMU samples are
     averaged pairwise (trapezoidal measurement averaging) and propagated in
     one batch. The run stops early and is marked diverged when the
-    position error exceeds the divergence bound or is not a number.
+    position error exceeds DIVERGENCE_BOUND or is not a number.
     Objects are numbered in the order they are initialized. This is the
     one-run case of run_lockstep.
     """

@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .geom3 import exp_so3_batch, quat_of, quat_of_batch, rot_of
-from .propagation import ImuNoise
+from .propagation import GRAVITY, ImuNoise
 from .update_direct import PoseMeasurement
 
 TWO_PI = 2.0 * np.pi
@@ -39,6 +39,8 @@ IMU_RATE = 200.0           # Hz
 FIXED_SIGMA_P = 0.04       # m, reported on every axis in the "fixed" mode
 FIXED_SIGMA_THETA = 0.628  # rad, likewise
 SIGMA_FLOOR = 1e-6         # the least sigma any mode reports
+FOV_DEG = 90.0             # full cone angle of the camera's field of view
+MAX_RANGE = 10.0           # m, the farthest an object is seen
 
 
 def _as3(x) -> np.ndarray:
@@ -161,7 +163,7 @@ def camera_forward_extrinsics():
 @dataclass
 class SensorSpec:
     """Camera and measurement-noise settings; the camera mount is
-    camera_forward_extrinsics()."""
+    camera_forward_extrinsics() and its frustum FOV_DEG and MAX_RANGE."""
 
     cam_rate: float = 20.0
     sigma_p: np.ndarray = field(default_factory=lambda: np.full(3, 0.01))
@@ -169,8 +171,6 @@ class SensorSpec:
     mode: str = "exact"
     episodes: list = field(default_factory=list)  # (t_start, t_end, factor)
     episode_excess: float = 2.5
-    fov_deg: float = 90.0
-    max_range: float = 10.0
 
     def __post_init__(self):
         if self.mode not in SIGMA_MODES:
@@ -182,7 +182,7 @@ class SensorSpec:
             sigma = getattr(self, name)
             if not np.all(np.isfinite(sigma) & (sigma >= 0)):
                 raise ValueError(f"{name} must be finite and not negative")
-        for name in ("cam_rate", "episode_excess", "fov_deg", "max_range"):
+        for name in ("cam_rate", "episode_excess"):
             if not 0 < getattr(self, name) < np.inf:
                 raise ValueError(f"{name} must be positive and finite")
         for t0, t1, factor in self.episodes:
@@ -286,7 +286,7 @@ def gen_imu(traj: TrajectorySpec, noise: ImuNoise, rate: float,
 
     rot = traj.rotation(t)
     a_world = traj.acceleration(t)
-    specific = np.einsum("nji,nj->ni", rot, a_world + noise.gravity)
+    specific = np.einsum("nji,nj->ni", rot, a_world + GRAVITY)
     acc = specific + bias_accel + white_acc * (noise.sigma_acc / np.sqrt(dt))
     gyro = (traj.omega_body(t) + bias_gyro
             + white_gyro * (noise.sigma_gyro / np.sqrt(dt)))
@@ -350,7 +350,7 @@ def gen_measurements(traj: TrajectorySpec, world: list,
     noise_p = rng.standard_normal((n_ticks + 1, n_o, 3))
     noise_r = rng.standard_normal((n_ticks + 1, n_o, 3))
 
-    visible = _in_frustum(p_co, sensor.fov_deg, sensor.max_range)
+    visible = _in_frustum(p_co, FOV_DEG, MAX_RANGE)
     inflations = np.array([sensor.rotation_inflation(tk) for tk in t])
     sig_theta_true = sensor.sigma_theta * inflations[:, 0:1]  # (K, 3)
     p_meas_all = p_co + noise_p * sensor.sigma_p

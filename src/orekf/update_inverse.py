@@ -104,10 +104,8 @@ def _object_rows(h, terms, state, obj, i):
 INVERSE = ud.MeasurementModel(_observe, _frame_terms, _object_rows,
                               partial_ok=False)
 
-# The shared stacking, Jacobian and row-selection functions, bound to this
-# model.
+# The shared Jacobian and stacking functions, bound to this model.
 jacobians = partial(ud.jacobians, model=INVERSE)
-stack_frame = partial(ud.stack_frame, model=INVERSE)
 build_stacked = partial(ud.build_stacked, model=INVERSE)
 
 
@@ -118,6 +116,5 @@ __all__ = [
     "residual_position",
     "residual_rotation",
     "jacobians",
-    "stack_frame",
     "build_stacked",
 ]

@@ -301,6 +301,21 @@ class TestRunCommand:
         assert capsys.readouterr().err == \
             f"error: line 9: {key} must be finite\n"
 
+    @pytest.mark.parametrize("line, message", [
+        # 1 - chi2_alpha rounds to 1.0: the quantile does not exist
+        ("chi2_alpha = 1e-17", "chi2_alpha must be in (0, 1), with 1 - "
+         "chi2_alpha < 1"),
+        # the square of the density overflows
+        ("imu_sigma_acc = 1e200", "sigma_acc must be nonnegative with a "
+         "finite square"),
+    ], ids=["chi2_alpha", "imu_sigma_acc"])
+    def test_value_that_crashed_a_run_exits_2_with_line_number(
+            self, tmp_path, capsys, line, message):
+        text = BASE_CONFIG + line + "\n"
+        assert main(["run", "--config", str(write(tmp_path, text)),
+                     "--out", str(tmp_path / "x")]) == 2
+        assert capsys.readouterr().err == f"error: line 10: {message}\n"
+
     def test_missing_config_file(self, tmp_path):
         assert main(["run", "--config", str(tmp_path / "nope.txt"),
                      "--out", str(tmp_path / "x")]) == 2

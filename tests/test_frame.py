@@ -63,7 +63,7 @@ def reference_decision(cov, meas, block, cfg, direct):
     if cfg.method == "none":
         decision = gt.GatingDecision(gt.Verdict.ACCEPT_ALL, 0.0)
     elif cfg.method in ("aor", "aorp"):
-        decision = getattr(gt, cfg.method)(meas, cfg)
+        decision = getattr(gt, cfg.method)(meas)
     elif cfg.method == "chi2":
         if degenerate:
             return gt.GatingDecision(gt.Verdict.REJECT_ALL, float("inf"))
@@ -224,11 +224,11 @@ def test_frame_verdicts_match_per_block_functions(case):
     blocks = [reference_block(state, oi, frame[mi], direct)
               for mi, oi in pairs]
     assume(not near_threshold(cov, frame, pairs, blocks, cfg))
-    model = ud if direct else ui
     measurements = [frame[mi] for mi, _ in pairs]
-    stacked, degenerate = model.stack_frame(
+    stacked, degenerate = ud.stack_frame(
         state, [(oi, state.objects[oi], m)
-                for (_, oi), m in zip(pairs, measurements)])
+                for (_, oi), m in zip(pairs, measurements)],
+        ud.DIRECT if direct else ui.INVERSE)
     s, _ = ud.innovation(cov, stacked)
     got = gt.gate_frame(cfg, s, stacked.residual, measurements, degenerate,
                         partial_ok=direct)

@@ -4,8 +4,11 @@ from numpy.testing import assert_allclose
 from scipy.special import gammaincinv
 
 from orekf.gating import (
+    AOR_TAU_P,
+    AOR_TAU_THETA,
     GatingConfig,
     Verdict,
+    _threshold_test,
     aor,
     aorp,
     chi2_full,
@@ -189,49 +192,45 @@ class TestChi2Partial:
 
 class TestAor:
     def test_small_sigmas_accept(self):
-        d = aor(meas([0.01] * 3, [0.02] * 3), GatingConfig())
+        d = aor(meas([0.01] * 3, [0.02] * 3))
         assert d.verdict is Verdict.ACCEPT_ALL
 
     def test_position_sigma_above_threshold_rejects_all(self):
-        d = aor(meas([0.2, 0.01, 0.01], [0.02] * 3), GatingConfig())
+        d = aor(meas([0.2, 0.01, 0.01], [0.02] * 3))
         assert d.verdict is Verdict.REJECT_ALL
 
     def test_boundary_is_accepted(self):
-        cfg = GatingConfig()
-        d = aor(meas([cfg.aor_tau_p] * 3, [cfg.aor_tau_theta] * 3), cfg)
+        d = aor(meas([AOR_TAU_P] * 3, [AOR_TAU_THETA] * 3))
         assert d.verdict is Verdict.ACCEPT_ALL
 
     def test_never_partial(self):
         rng = np.random.default_rng(3)
-        cfg = GatingConfig()
         for _ in range(200):
-            d = aor(meas(rng.uniform(0.01, 0.5, 3), rng.uniform(0.01, 0.8, 3)),
-                    cfg)
+            d = aor(meas(rng.uniform(0.01, 0.5, 3), rng.uniform(0.01, 0.8, 3)))
             assert d.verdict in (Verdict.ACCEPT_ALL, Verdict.REJECT_ALL)
 
 
 class TestAorp:
     def test_rotation_block_rejected(self):
-        d = aorp(meas([0.01] * 3, [0.5] * 3), GatingConfig())
+        d = aorp(meas([0.01] * 3, [0.5] * 3))
         assert d.verdict is Verdict.REJECT_ROTATION
 
     def test_both_blocks_rejected(self):
-        d = aorp(meas([0.5] * 3, [0.5] * 3), GatingConfig())
+        d = aorp(meas([0.5] * 3, [0.5] * 3))
         assert d.verdict is Verdict.REJECT_ALL
 
     def test_monotone_relation_to_aor_over_threshold_grid(self):
-        # with equal thresholds, an aorp verdict never keeps less than aor:
-        # aor rejects everything iff either block trips; aorp then rejects
-        # exactly the tripped blocks
+        # with equal thresholds, a per-block verdict (aorp) never keeps
+        # less than full rejection (aor): aor rejects everything iff either
+        # block trips; aorp then rejects exactly the tripped blocks
         rng = np.random.default_rng(4)
         for tau_p in (0.05, 0.1, 0.2):
             for tau_t in (0.1, 0.2, 0.4):
-                cfg = GatingConfig(aor_tau_p=tau_p, aor_tau_theta=tau_t,
-                                   aorp_tau_p=tau_p, aorp_tau_theta=tau_t)
                 for _ in range(50):
                     m = meas(rng.uniform(0.01, 0.4, 3),
                              rng.uniform(0.01, 0.6, 3))
-                    da, dp = aor(m, cfg), aorp(m, cfg)
+                    da = _threshold_test(m, tau_p, tau_t, False)
+                    dp = _threshold_test(m, tau_p, tau_t, True)
                     if da.verdict is Verdict.ACCEPT_ALL:
                         assert dp.verdict is Verdict.ACCEPT_ALL
                     else:
@@ -243,8 +242,7 @@ class TestAorp:
 
     def test_determinism(self):
         m = meas([0.09, 0.11, 0.05], [0.1, 0.2, 0.17])
-        cfg = GatingConfig()
-        d1, d2 = aorp(m, cfg), aorp(m, cfg)
+        d1, d2 = aorp(m), aorp(m)
         assert d1 == d2
 
 
@@ -255,8 +253,7 @@ def test_config_validation():
         GatingConfig(chi2_alpha=1.5)
     with pytest.raises(ValueError, match="chi2_alpha"):
         GatingConfig(chi2_alpha=np.nan)
-    for name in ("aor_tau_p", "aor_tau_theta", "aorp_tau_p",
-                 "aorp_tau_theta"):
-        for value in (0.0, -1.0, np.nan):
-            with pytest.raises(ValueError, match=f"{name} must be positive"):
-                GatingConfig(**{name: value})
+    # 1 - alpha rounds to 1.0, where the quantile does not exist
+    with pytest.raises(ValueError, match="chi2_alpha"):
+        GatingConfig(chi2_alpha=1e-17)
+    GatingConfig(chi2_alpha=2.0**-53)

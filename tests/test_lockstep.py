@@ -173,7 +173,7 @@ class TestKernels:
 
 
 class TestRunLockstep:
-    def test_runs_that_leave_and_skip_ticks(self):
+    def test_runs_that_leave_and_skip_ticks(self, monkeypatch):
         """Blank frames, shorter streams and divergence take runs out of
         their groups at different ticks; every record stays its own."""
         cfg, streams = campaign_streams("inverse")
@@ -191,7 +191,8 @@ class TestRunLockstep:
                           gyro=imu.gyro[:(n - 1) * 10 + 1])
             edited.append((imu, meas))
         # a bound that some runs exceed, at different ticks
-        setup = replace(cfg.filter_setup(), divergence_bound=0.3)
+        monkeypatch.setattr(runner, "DIVERGENCE_BOUND", 0.3)
+        setup = cfg.filter_setup()
         records = run_lockstep(edited, setup)
         assert 0 < sum(rec.diverged for rec in records) < R
         for rec, (imu, meas) in zip(records, edited):

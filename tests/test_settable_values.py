@@ -8,7 +8,7 @@ from pathlib import Path
 import orekf
 from orekf.config import RunConfig
 
-SETTABLE_VALUES = 97
+SETTABLE_VALUES = 89
 
 # what a campaign varies; every other value is its owner's default or a
 # module constant

@@ -3,7 +3,8 @@ import pytest
 from numpy.testing import assert_allclose
 from scipy.stats import kstest, maxwell
 
-from orekf.gating import GatingConfig, Verdict, aorp
+from orekf import sim
+from orekf.gating import AORP_TAU_THETA, Verdict, aorp
 from orekf.geom3 import QUAT_IDENTITY, log_so3, rot_of
 from orekf.presets import PRESETS
 from orekf.propagation import ImuNoise
@@ -25,8 +26,6 @@ G = np.array([0.0, 0.0, 9.81])
 BAD_SPEC_VALUES = [
     ("sigma_p", -0.1),
     ("sigma_theta", np.nan),
-    ("fov_deg", np.nan),
-    ("max_range", -1.0),
     ("cam_rate", 0.0),
     ("episode_excess", -1.0),
     ("episodes", [(1.0, 0.5, 2.0)]),
@@ -79,7 +78,7 @@ class TestTrajectory:
 class TestGenImu:
     def test_static_gravity_only(self):
         traj = TrajectorySpec(duration=1.0)  # all amplitudes zero
-        stream = gen_imu(traj, ImuNoise(0, 0, 0, 0, G), 200.0, seed=0)
+        stream = gen_imu(traj, ImuNoise(0, 0, 0, 0), 200.0, seed=0)
         assert_allclose(stream.acc, np.tile(G, (201, 1)), atol=1e-12)
         assert_allclose(stream.gyro, 0.0, atol=1e-12)
 
@@ -94,7 +93,7 @@ class TestGenImu:
 
     def test_bias_random_walk_variance_grows_linearly(self):
         traj = TrajectorySpec(duration=4.0)
-        noise = ImuNoise(0, 0, 1e-3, 1e-3, G)
+        noise = ImuNoise(0, 0, 1e-3, 1e-3)
         rate = 100.0
         k1, k2 = 100, 400  # t = 1 s and t = 4 s
         b1, b2 = [], []
@@ -110,7 +109,7 @@ class TestGenImu:
 
     def test_white_noise_scaling(self):
         traj = TrajectorySpec(duration=2.0)
-        noise = ImuNoise(0.02, 0.002, 0, 0, G)
+        noise = ImuNoise(0.02, 0.002, 0, 0)
         s = gen_imu(traj, noise, 200.0, seed=5)
         resid = s.acc - G  # static trajectory: the rest is white noise
         expect = 0.02 * np.sqrt(200.0)
@@ -149,14 +148,16 @@ class TestVisibility:
 
 class TestGenMeasurements:
     @pytest.mark.parametrize("preset", sorted(PRESETS))
-    def test_frames_hold_exactly_the_visible_objects(self, preset):
+    def test_frames_hold_exactly_the_visible_objects(self, preset,
+                                                     monkeypatch):
         scenario = PRESETS[preset]
-        sensor = SensorSpec(fov_deg=70.0, max_range=4.0)
+        monkeypatch.setattr(sim, "FOV_DEG", 70.0)
+        monkeypatch.setattr(sim, "MAX_RANGE", 4.0)
         stream = gen_measurements(scenario.trajectory, scenario.world,
-                                  sensor, seed=0)
+                                  SensorSpec(), seed=0)
         for tk, frame in zip(stream.t, stream.ticks):
-            ids = visibility(scenario.trajectory, scenario.world, tk,
-                             sensor.fov_deg, sensor.max_range)
+            ids = visibility(scenario.trajectory, scenario.world, tk, 70.0,
+                             4.0)
             assert [m.object_class for m in frame] \
                 == [scenario.world[i].obj_class for i in ids]
 
@@ -234,14 +235,13 @@ class TestGenMeasurements:
         sensor = SensorSpec(sigma_p=0.02, sigma_theta=0.0875, mode="episodes",
                             episodes=[(2.0, 4.0, 8.0)])
         stream = gen_measurements(traj, world, sensor, seed=0)
-        cfg = GatingConfig()
         k_in = int(3.0 * sensor.cam_rate)
         k_out = int(6.0 * sensor.cam_rate)
         m_in, m_out = stream.ticks[k_in][0], stream.ticks[k_out][0]
-        assert np.all(np.sqrt(m_in.var_theta) > cfg.aorp_tau_theta)
+        assert np.all(np.sqrt(m_in.var_theta) > AORP_TAU_THETA)
         assert_allclose(m_in.var_p, m_out.var_p)  # sigma_p untouched
-        assert aorp(m_in, cfg).verdict is Verdict.REJECT_ROTATION
-        assert aorp(m_out, cfg).verdict is Verdict.ACCEPT_ALL
+        assert aorp(m_in).verdict is Verdict.REJECT_ROTATION
+        assert aorp(m_out).verdict is Verdict.ACCEPT_ALL
 
     def test_mode_semantics(self):
         traj = lively_traj(6.0)
